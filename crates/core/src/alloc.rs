@@ -256,16 +256,27 @@ mod tests {
         for kind in [AllocKind::Malloc, AllocKind::MultiLevel] {
             DROPS.store(0, Ordering::SeqCst);
             let a = TaskAllocator::new(kind, 1);
+            // One body stored inline, one too large for it (boxed).
             let canary = Canary;
-            let body: TaskBody = Box::new(move |_| {
+            let inline = TaskBody::new(move |_| {
                 let _keep = &canary;
             });
-            let t = unsafe { a.alloc(0, Some(body), None, 0) };
+            let (canary, pad) = (Canary, [0u8; 2 * crate::task::INLINE_BODY_BYTES]);
+            let boxed = TaskBody::new(move |_| {
+                let _keep = (&canary, &pad);
+            });
+            for body in [inline, boxed] {
+                let t = unsafe { a.alloc(0, Some(body), None, 0) };
+                release_and_free(&a, 0, t);
+            }
+            // A recycled record must not drop a body twice.
+            let t = unsafe { a.alloc(0, None, None, 0) };
             release_and_free(&a, 0, t);
+            drop(a);
             assert_eq!(
                 DROPS.load(Ordering::SeqCst),
-                1,
-                "{kind:?}: unexecuted body must be dropped on free"
+                2,
+                "{kind:?}: each unexecuted body must be dropped once on free"
             );
         }
     }

@@ -17,6 +17,11 @@
 //! [`CancelToken::poll`] promotes an expired deadline into the fired
 //! state, so deadline enforcement needs no extra plumbing at the
 //! checkpoints.
+//!
+//! A token is an `Arc` over any [`CancelSource`]: a plain
+//! [`CancelToken::new`] allocates a bare [`CancelFlag`], while the task
+//! server builds its jobs' tokens over the job cell itself, so the
+//! tokens a job's tasks inherit cost no allocation of their own.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -36,7 +41,13 @@ pub enum CancelReason {
     DeadlineExceeded,
 }
 
-struct TokenInner {
+/// The flag word and deadline behind a [`CancelToken`].
+///
+/// Embeddable, so a reference-counted owner can hand out tokens that
+/// share its own count instead of allocating a separate one (the task
+/// server's job cell does; see [`CancelSource`]).
+#[derive(Debug)]
+pub struct CancelFlag {
     /// `LIVE` / `CANCELLED` / `DEADLINE`. Monotone: once non-live it
     /// never goes back, and the first writer's reason wins.
     state: AtomicU32,
@@ -44,12 +55,79 @@ struct TokenInner {
     deadline: u64,
 }
 
+impl CancelFlag {
+    /// A live flag that fires on its own once `clock::now()` passes
+    /// `deadline` (in clock ticks; `u64::MAX` = never).
+    pub const fn new(deadline: u64) -> Self {
+        CancelFlag {
+            state: AtomicU32::new(LIVE),
+            deadline,
+        }
+    }
+
+    /// Fires the flag with [`CancelReason::Cancelled`]. Idempotent; a
+    /// reason already recorded (either kind) is kept.
+    pub fn cancel(&self) {
+        let _ = self
+            .state
+            .compare_exchange(LIVE, CANCELLED, Ordering::Release, Ordering::Relaxed);
+    }
+
+    /// Fires the flag with [`CancelReason::DeadlineExceeded`].
+    pub fn expire(&self) {
+        let _ = self
+            .state
+            .compare_exchange(LIVE, DEADLINE, Ordering::Release, Ordering::Relaxed);
+    }
+
+    /// The deadline tick, if this flag carries one.
+    pub fn deadline_tick(&self) -> Option<u64> {
+        (self.deadline != u64::MAX).then_some(self.deadline)
+    }
+
+    /// Checkpoint poll: see [`CancelToken::poll`].
+    #[inline]
+    pub fn poll(&self) -> Option<CancelReason> {
+        match self.state.load(Ordering::Acquire) {
+            CANCELLED => Some(CancelReason::Cancelled),
+            DEADLINE => Some(CancelReason::DeadlineExceeded),
+            _ => {
+                if self.deadline != u64::MAX && clock::now() >= self.deadline {
+                    self.expire();
+                    Some(CancelReason::DeadlineExceeded)
+                } else {
+                    None
+                }
+            }
+        }
+    }
+
+    /// Whether the flag has fired (without promoting deadlines).
+    #[inline]
+    pub fn is_fired(&self) -> bool {
+        self.state.load(Ordering::Acquire) != LIVE
+    }
+}
+
+/// Anything that owns a [`CancelFlag`] and can be shared behind an
+/// `Arc`: the allocation a [`CancelToken`] keeps alive.
+pub trait CancelSource: Send + Sync + 'static {
+    /// The flag every token over this source reads and fires.
+    fn cancel_flag(&self) -> &CancelFlag;
+}
+
+impl CancelSource for CancelFlag {
+    fn cancel_flag(&self) -> &CancelFlag {
+        self
+    }
+}
+
 /// A shared cancellation flag for one job, cloned into every task the
 /// job spawns. Checking is one relaxed load on the fast path (plus one
 /// clock read when a deadline is set).
 #[derive(Clone)]
 pub struct CancelToken {
-    inner: Arc<TokenInner>,
+    inner: Arc<dyn CancelSource>,
 }
 
 impl CancelToken {
@@ -61,37 +139,35 @@ impl CancelToken {
     /// A live token that fires on its own once `clock::now()` passes
     /// `deadline` (in clock ticks; `u64::MAX` = never).
     pub fn with_deadline_tick(deadline: u64) -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                state: AtomicU32::new(LIVE),
-                deadline,
-            }),
-        }
+        Self::from_source(Arc::new(CancelFlag::new(deadline)))
+    }
+
+    /// A token over an existing source's flag. Clones share the
+    /// source's reference count, so no allocation of its own is made.
+    pub fn from_source(source: Arc<dyn CancelSource>) -> Self {
+        CancelToken { inner: source }
+    }
+
+    #[inline]
+    fn flag(&self) -> &CancelFlag {
+        self.inner.cancel_flag()
     }
 
     /// Fires the token with [`CancelReason::Cancelled`]. Idempotent;
     /// a reason already recorded (either kind) is kept.
     pub fn cancel(&self) {
-        let _ = self.inner.state.compare_exchange(
-            LIVE,
-            CANCELLED,
-            Ordering::Release,
-            Ordering::Relaxed,
-        );
+        self.flag().cancel();
     }
 
     /// Fires the token with [`CancelReason::DeadlineExceeded`] (used by
     /// the serve-loop deadline sweep on already-running jobs).
     pub fn expire(&self) {
-        let _ =
-            self.inner
-                .state
-                .compare_exchange(LIVE, DEADLINE, Ordering::Release, Ordering::Relaxed);
+        self.flag().expire();
     }
 
     /// The deadline tick, if this token carries one.
     pub fn deadline_tick(&self) -> Option<u64> {
-        (self.inner.deadline != u64::MAX).then_some(self.inner.deadline)
+        self.flag().deadline_tick()
     }
 
     /// Checkpoint poll: the fired reason, if any. Promotes an expired
@@ -99,24 +175,13 @@ impl CancelToken {
     /// deadline fires even if nobody ever calls [`expire`](Self::expire).
     #[inline]
     pub fn poll(&self) -> Option<CancelReason> {
-        match self.inner.state.load(Ordering::Acquire) {
-            CANCELLED => Some(CancelReason::Cancelled),
-            DEADLINE => Some(CancelReason::DeadlineExceeded),
-            _ => {
-                if self.inner.deadline != u64::MAX && clock::now() >= self.inner.deadline {
-                    self.expire();
-                    Some(CancelReason::DeadlineExceeded)
-                } else {
-                    None
-                }
-            }
-        }
+        self.flag().poll()
     }
 
     /// Whether the token has fired (without promoting deadlines).
     #[inline]
     pub fn is_fired(&self) -> bool {
-        self.inner.state.load(Ordering::Acquire) != LIVE
+        self.flag().is_fired()
     }
 }
 
@@ -172,6 +237,28 @@ mod tests {
         let c = t.clone();
         c.cancel();
         assert_eq!(t.poll(), Some(CancelReason::Cancelled));
+    }
+
+    #[test]
+    fn tokens_over_a_source_share_its_count() {
+        struct Owner {
+            flag: CancelFlag,
+        }
+        impl CancelSource for Owner {
+            fn cancel_flag(&self) -> &CancelFlag {
+                &self.flag
+            }
+        }
+        let owner = Arc::new(Owner {
+            flag: CancelFlag::new(u64::MAX),
+        });
+        let t = CancelToken::from_source(owner.clone());
+        let c = t.clone();
+        assert_eq!(Arc::strong_count(&owner), 3, "clones share one count");
+        c.cancel();
+        assert!(owner.flag.is_fired());
+        drop((t, c));
+        assert_eq!(Arc::strong_count(&owner), 1);
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(Box::new(f), 0);
+        self.spawn_impl(TaskBody::new(f), 0);
     }
 
     /// Spawns a child task with a GOMP-style priority (only the GOMP
@@ -77,28 +77,36 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(Box::new(f), priority);
+        self.spawn_impl(TaskBody::new(f), priority);
     }
 
-    /// Spawns an already-boxed body without re-boxing — the hot
-    /// submission path of `xgomp-service`, whose ingress queues carry
-    /// boxed job bodies end to end.
+    /// Spawns an already-boxed body. The box is stored in the task
+    /// record as is, without re-boxing.
     #[inline]
     pub fn spawn_boxed(&self, body: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>) {
-        self.spawn_impl(body, 0);
+        self.spawn(body);
     }
 
-    /// Spawns an already-boxed body into the *calling worker's own*
-    /// queue, bypassing the round-robin cursor. This is the placement
-    /// externally injected jobs need: a cross-pushed task lands in one
-    /// peer's SPSC queue and is unreachable by anyone else until that
-    /// peer next visits the scheduler — if the peer is stalled inside a
-    /// long-running task body, the job is stranded even while other
-    /// workers idle. A self-spawned task is popped by the very next
-    /// scheduler visit of the worker that chose to take it.
+    /// Spawns a child into the *calling worker's own* queue, bypassing
+    /// the round-robin cursor. This is the placement externally injected
+    /// jobs need: a cross-pushed task lands in one peer's SPSC queue and
+    /// is unreachable by anyone else until that peer next visits the
+    /// scheduler — if the peer is stalled inside a long-running task
+    /// body, the job is stranded even while other workers idle. A
+    /// self-spawned task is popped by the very next scheduler visit of
+    /// the worker that chose to take it.
+    #[inline]
+    pub fn spawn_local<F>(&self, f: F)
+    where
+        F: FnOnce(&TaskCtx<'_>) + Send + 'static,
+    {
+        self.spawn_impl_placed(TaskBody::new(f), 0, Some(self.worker));
+    }
+
+    /// [`spawn_local`](Self::spawn_local) for an already-boxed body.
     #[inline]
     pub fn spawn_boxed_local(&self, body: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>) {
-        self.spawn_impl_placed(body, 0, Some(self.worker));
+        self.spawn_local(body);
     }
 
     /// Like [`run_pending`](Self::run_pending), but when the scheduler
@@ -405,12 +413,11 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
-        let boxed: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'env> = Box::new(f);
         // SAFETY: the scope's taskwait (WaitGuard, run even on unwind)
         // ensures this body finishes before any `'env` borrow ends, so
         // erasing the lifetime cannot let the body observe freed data.
-        let boxed: TaskBody = unsafe { std::mem::transmute(boxed) };
-        self.ctx.spawn_impl(boxed, 0);
+        let body = unsafe { TaskBody::new_unchecked(f) };
+        self.ctx.spawn_impl(body, 0);
     }
 
     /// Spawns a borrowing task with a GOMP priority.
@@ -418,10 +425,9 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
-        let boxed: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'env> = Box::new(f);
         // SAFETY: as in `spawn`.
-        let boxed: TaskBody = unsafe { std::mem::transmute(boxed) };
-        self.ctx.spawn_impl(boxed, priority);
+        let body = unsafe { TaskBody::new_unchecked(f) };
+        self.ctx.spawn_impl(body, priority);
     }
 
     /// Spawns a borrowing task with a *placement target*: worker
@@ -433,10 +439,9 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
-        let boxed: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'env> = Box::new(f);
         // SAFETY: as in `spawn`.
-        let boxed: TaskBody = unsafe { std::mem::transmute(boxed) };
-        self.ctx.spawn_impl_placed(boxed, 0, Some(target));
+        let body = unsafe { TaskBody::new_unchecked(f) };
+        self.ctx.spawn_impl_placed(body, 0, Some(target));
     }
 
     /// The underlying context (worker id, topology queries).

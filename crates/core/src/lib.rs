@@ -64,7 +64,7 @@ mod util;
 
 pub use alloc::AllocKind;
 pub use barrier::BarrierKind;
-pub use cancel::{raise_cancel, CancelReason, CancelToken, CancelUnwind};
+pub use cancel::{raise_cancel, CancelFlag, CancelReason, CancelSource, CancelToken, CancelUnwind};
 pub use config::RuntimeConfig;
 pub use ctx::{Scope, TaskCtx};
 pub use dlb::{DlbConfig, DlbStrategy, DlbTuning, DEFAULT_REBALANCE_INTERVAL};
@@ -76,6 +76,7 @@ pub use loops::{
     AUTO_CONFIRM_WINDOWS, AUTO_FALLBACK, AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER, DEFAULT_TILE,
 };
 pub use sched::SchedulerKind;
+pub use task::INLINE_BODY_BYTES;
 pub use team::{IngressSource, PersistentTeam, RegionOutput, Runtime};
 
 // Re-exports so downstream crates need only depend on xgomp-core.

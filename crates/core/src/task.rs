@@ -1,9 +1,19 @@
 //! Task representation and lifecycle.
 //!
-//! A [`Task`] is a heap-allocated record carrying a boxed body, a pointer
-//! to its parent task, an unfinished-children counter (the `taskwait`
+//! A [`Task`] is a heap-allocated record carrying its body, a pointer to
+//! its parent task, an unfinished-children counter (the `taskwait`
 //! condition), and an intrusive reference count that keeps the record
 //! alive while children may still decrement the parent's counter.
+//!
+//! ## Inline bodies
+//!
+//! The body is a [`TaskBody`]: closures of up to [`INLINE_BODY_BYTES`]
+//! (8-byte aligned) are stored *inside* the record, larger ones are
+//! boxed and the box is stored inline instead. A typical task therefore
+//! costs one allocation, its record, the way GOMP allocates a task and
+//! its argument block in a single `malloc`; under
+//! [`AllocKind::MultiLevel`](crate::AllocKind::MultiLevel) the record
+//! itself is recycled, so such a task allocates nothing at all.
 //!
 //! ## Reference-counting protocol
 //!
@@ -22,14 +32,146 @@
 //! barrier release path, not to dependency counting.
 
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use crate::cancel::CancelToken;
 use crate::ctx::TaskCtx;
 
-/// A task body: consumed exactly once when the task executes.
-pub(crate) type TaskBody = Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>;
+/// Bytes of closure a [`TaskBody`] stores without boxing.
+pub const INLINE_BODY_BYTES: usize = 48;
+
+type InlineBuf = MaybeUninit<[u64; INLINE_BODY_BYTES / 8]>;
+
+/// The type-erased operations of one closure type stored in a body.
+struct BodyVTable {
+    /// Moves the closure out of the buffer and calls it.
+    call: unsafe fn(*mut u8, &TaskCtx<'_>),
+    /// Drops the closure in place, uncalled.
+    drop: unsafe fn(*mut u8),
+}
+
+struct Thunk<F>(PhantomData<F>);
+
+impl<F: FnOnce(&TaskCtx<'_>)> Thunk<F> {
+    const VTABLE: BodyVTable = BodyVTable {
+        call: Self::call,
+        drop: Self::drop,
+    };
+
+    /// # Safety
+    ///
+    /// `p` holds a live `F`, which this call consumes.
+    unsafe fn call(p: *mut u8, ctx: &TaskCtx<'_>) {
+        // SAFETY: forwarded from the caller.
+        let f = unsafe { p.cast::<F>().read() };
+        f(ctx)
+    }
+
+    /// # Safety
+    ///
+    /// `p` holds a live `F`, which this call drops.
+    unsafe fn drop(p: *mut u8) {
+        // SAFETY: forwarded from the caller.
+        unsafe { p.cast::<F>().drop_in_place() }
+    }
+}
+
+/// A task body: a closure consumed exactly once when the task executes,
+/// stored inline when it fits (see the module docs). A body without a
+/// closure (implicit tasks, and every body once run) is *empty*.
+pub(crate) struct TaskBody {
+    /// `None` when empty.
+    vtable: Option<&'static BodyVTable>,
+    buf: InlineBuf,
+}
+
+// SAFETY: every constructor requires the stored closure to be `Send`.
+unsafe impl Send for TaskBody {}
+
+impl TaskBody {
+    const EMPTY: TaskBody = TaskBody {
+        vtable: None,
+        buf: InlineBuf::uninit(),
+    };
+
+    /// Wraps a `'static` closure.
+    pub(crate) fn new<F>(f: F) -> Self
+    where
+        F: FnOnce(&TaskCtx<'_>) + Send + 'static,
+    {
+        // SAFETY: a `'static` closure borrows nothing that could end.
+        unsafe { Self::new_unchecked(f) }
+    }
+
+    /// Wraps a closure that may borrow from the spawning frame.
+    ///
+    /// # Safety
+    ///
+    /// The body must run or be dropped before any borrow `F` holds
+    /// ends (the guarantee `TaskCtx::scope`'s implicit taskwait gives).
+    pub(crate) unsafe fn new_unchecked<'a, F>(f: F) -> Self
+    where
+        F: FnOnce(&TaskCtx<'_>) + Send + 'a,
+    {
+        if Self::fits::<F>() {
+            // SAFETY: checked just above.
+            unsafe { Self::inline(f) }
+        } else {
+            // SAFETY: a box is one pointer, which always fits.
+            unsafe { Self::inline(Box::new(f)) }
+        }
+    }
+
+    const fn fits<F>() -> bool {
+        std::mem::size_of::<F>() <= std::mem::size_of::<InlineBuf>()
+            && std::mem::align_of::<F>() <= std::mem::align_of::<InlineBuf>()
+    }
+
+    /// # Safety
+    ///
+    /// `F` must fit the inline buffer (`fits::<F>()`).
+    unsafe fn inline<F: FnOnce(&TaskCtx<'_>)>(f: F) -> Self {
+        debug_assert!(Self::fits::<F>());
+        let mut buf = InlineBuf::uninit();
+        // SAFETY: the buffer is large and aligned enough for `F`.
+        unsafe { buf.as_mut_ptr().cast::<F>().write(f) };
+        TaskBody {
+            vtable: Some(&Thunk::<F>::VTABLE),
+            buf,
+        }
+    }
+
+    /// Runs the body where it lies, leaving it empty; a no-op on an
+    /// empty body. Running in place spares the executor's frame a copy
+    /// of the buffer, which counts where `execute` frames nest.
+    ///
+    /// # Safety
+    ///
+    /// `this` must be valid, and nothing else may access it during the
+    /// call.
+    unsafe fn run_in_place(this: *mut TaskBody, ctx: &TaskCtx<'_>) {
+        // SAFETY: forwarded from the caller. The vtable is cleared
+        // before the call, so a panicking closure — moved out of the
+        // buffer by `call` — is never dropped a second time.
+        unsafe {
+            if let Some(vt) = (*this).vtable.take() {
+                (vt.call)(std::ptr::addr_of_mut!((*this).buf).cast(), ctx);
+            }
+        }
+    }
+}
+
+impl Drop for TaskBody {
+    fn drop(&mut self) {
+        if let Some(vt) = self.vtable {
+            // SAFETY: a non-empty body still holds its closure.
+            unsafe { (vt.drop)(self.buf.as_mut_ptr().cast()) }
+        }
+    }
+}
 
 /// A caught panic payload, carried from a panicking child to its
 /// parent's next `taskwait` (panic-isolating teams only).
@@ -41,8 +183,8 @@ pub(crate) type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 /// this type directly — it is `pub` only for the benchmark harness's
 /// allocator ablations.
 pub struct Task {
-    /// The body; `None` for implicit (root) tasks and after execution.
-    body: UnsafeCell<Option<TaskBody>>,
+    /// The body; empty for implicit (root) tasks and after execution.
+    body: UnsafeCell<TaskBody>,
     /// Parent task; retained while this task is alive.
     parent: Option<NonNull<Task>>,
     /// Direct children that have not completed yet (taskwait condition).
@@ -66,8 +208,13 @@ pub struct Task {
     cancel: UnsafeCell<Option<CancelToken>>,
 }
 
+// The record must stay within one 128-byte allocator size class (a
+// 120-byte request plus the allocator's header): inline bodies are only
+// a gain while they do not push every task into the next class.
+const _: () = assert!(std::mem::size_of::<Task>() <= 120);
+
 // SAFETY: bodies are `Send`; all shared mutable state is atomic or
-// guarded by the single-executor discipline (`body` is taken exactly once
+// guarded by the single-executor discipline (`body` is run exactly once
 // by the executing worker).
 unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
@@ -82,7 +229,7 @@ impl Task {
         priority: i32,
     ) -> Self {
         Task {
-            body: UnsafeCell::new(body),
+            body: UnsafeCell::new(body.unwrap_or(TaskBody::EMPTY)),
             parent,
             unfinished_children: AtomicU64::new(0),
             refs: AtomicU32::new(1),
@@ -95,7 +242,7 @@ impl Task {
     }
 
     /// Re-initializes a recycled record in place (multi-level allocator
-    /// fast path). The record must be dead (`refs == 0`, body `None`).
+    /// fast path). The record must be dead (`refs == 0`, body empty).
     ///
     /// # Safety
     ///
@@ -111,7 +258,7 @@ impl Task {
         // SAFETY: caller guarantees exclusive access to a dead record.
         let t = unsafe { &mut *this.as_ptr() };
         debug_assert_eq!(*t.refs.get_mut(), 0, "reinit of a live task");
-        *t.body.get_mut() = body;
+        *t.body.get_mut() = body.unwrap_or(TaskBody::EMPTY);
         t.parent = parent;
         *t.unfinished_children.get_mut() = 0;
         *t.refs.get_mut() = 1;
@@ -185,16 +332,16 @@ impl Task {
         debug_assert!(prev > 0, "child_completed underflow");
     }
 
-    /// Takes the body for execution. Returns `None` for implicit tasks.
+    /// Runs the body (a no-op for implicit tasks), leaving it empty.
     ///
     /// # Safety
     ///
     /// Only the executing worker may call this, exactly once per
     /// task activation (single-executor discipline).
     #[inline]
-    pub(crate) unsafe fn take_body(this: NonNull<Task>) -> Option<TaskBody> {
+    pub(crate) unsafe fn run_body(this: NonNull<Task>, ctx: &TaskCtx<'_>) {
         // SAFETY: single-executor discipline gives exclusive body access.
-        unsafe { (*this.as_ptr()).body.get().as_mut().unwrap().take() }
+        unsafe { TaskBody::run_in_place((*this.as_ptr()).body.get(), ctx) }
     }
 
     /// Deposits the panic payload of a failed child; the first child to

@@ -341,19 +341,17 @@ pub(crate) fn execute(team: &TeamShared, w: usize, task: NonNull<Task>) {
     }
 
     let guard = CompletionGuard { team, w, task };
-    // SAFETY: single-executor discipline — the handle reference we hold
-    // is the only execution claim on this task.
-    if let Some(body) = unsafe { Task::take_body(task) } {
-        let ctx = TaskCtx {
-            team,
-            worker: w,
-            task,
-        };
-        if team.isolate_panics {
-            run_body_isolated(&ctx, task, body);
-        } else {
-            body(&ctx);
-        }
+    let ctx = TaskCtx {
+        team,
+        worker: w,
+        task,
+    };
+    if team.isolate_panics {
+        run_body_isolated(&ctx, task);
+    } else {
+        // SAFETY: single-executor discipline — the handle reference we
+        // hold is the only execution claim on this task.
+        unsafe { Task::run_body(task, &ctx) };
     }
     drop(guard);
     if timed {
@@ -385,8 +383,10 @@ pub(crate) fn execute(team: &TeamShared, w: usize, task: NonNull<Task>) {
 /// `execute` frames nest deeply under the immediate-execution overflow
 /// rule, where every byte per frame counts.
 #[inline(never)]
-fn run_body_isolated(ctx: &TaskCtx<'_>, task: NonNull<Task>, body: crate::task::TaskBody) {
-    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(ctx))) {
+fn run_body_isolated(ctx: &TaskCtx<'_>, task: NonNull<Task>) {
+    // SAFETY: as in `execute`, whose claim this call inherits.
+    let run = || unsafe { Task::run_body(task, ctx) };
+    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
         // SAFETY: we hold a reference; the record is alive.
         if let Some(parent) = unsafe { task.as_ref() }.parent() {
             // SAFETY: the child retains its parent.

@@ -1,5 +1,5 @@
-//! Futures-style job handles: completion state shared between the
-//! submitting thread and the worker that eventually runs the job.
+//! Futures-style job handles over the job's **cell**: the one
+//! allocation a submitted job costs.
 //!
 //! A handle resolves with `Result<R, JobError>`: the job's value, or a
 //! typed reason it never produced one — a panic caught at the job
@@ -9,14 +9,46 @@
 //! the body ever ran); the server's job wrapper is the only place that
 //! turns phases into counter accounting, so `completed + cancelled +
 //! shed == submitted` holds exactly no matter how racy the callers are.
+//!
+//! ## The job cell
+//!
+//! One reference-counted [`JobCell`] holds everything a job needs: the
+//! phase word, the latency stamps, the result slot, the cancellation
+//! flag and the user closure. Its first field is a [`JobHeader`] with a
+//! vtable, so the ingress lanes, the spill queue, the deadline heap and
+//! the job's task all carry it as one thin type-erased pointer
+//! ([`JobRef`]), and the `CancelToken`s the job's tasks inherit are
+//! `Arc`s over the same cell — sharing its count, not allocating their
+//! own.
+//!
+//! ## The wake protocol
+//!
+//! Completion writes the outcome and publishes it with one release RMW
+//! on the cell's wake word, which sets `DONE`. A joiner that has to wait
+//! stores its [`Thread`] in the cell and sets `JOINER` before parking;
+//! the completer unparks it only when its RMW saw `JOINER`. A job that
+//! nobody waits for therefore completes without a lock or a system
+//! call. A bounded join withdraws its registration on timeout with a
+//! compare-exchange that fails once `DONE` is set, so the completer and
+//! the joiner never touch the joiner slot at the same time, and a wake
+//! cannot be lost: either the completer sees the registration and
+//! unparks, or the joiner sees `DONE` before it parks (and `unpark`
+//! before `park` makes that `park` return at once).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::cell::UnsafeCell;
+use std::marker::PhantomData;
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
-use xgomp_core::CancelToken;
+use xgomp_core::{CancelFlag, CancelSource, TaskCtx};
 
-/// Job phases (`JobState::phase`). `QUEUED → RUNNING` is claimed by the
+use crate::server::ServerShared;
+use crate::QosClass;
+
+/// Job phases (`JobHeader::phase`). `QUEUED → RUNNING` is claimed by the
 /// job wrapper when the body starts; `QUEUED → SHED_*` by whichever of
 /// `JobHandle::cancel` / the deadline sweep / the wrapper's own
 /// start-time check gets there first — exactly one transition out of
@@ -170,15 +202,34 @@ pub struct JobReport {
     pub total_cycles: u64,
 }
 
-pub(crate) struct JobState<R> {
-    done: AtomicBool,
-    slot: Mutex<Option<Result<R, JobError>>>,
-    cv: Condvar,
+/// Wake-word bits (`JobHeader::wake`): the outcome is published, and a
+/// joiner is registered in `JobHeader::joiner`.
+const DONE: u32 = 1;
+const JOINER: u32 = 2;
+
+/// The type-erased operations of one job cell type.
+pub(crate) struct JobVTable {
+    /// Runs the job through the server's wrapper, consuming the
+    /// caller's reference.
+    run: unsafe fn(NonNull<JobHeader>, &TaskCtx<'_>, &ServerShared),
+    /// Adds one reference.
+    retain: unsafe fn(NonNull<JobHeader>),
+    /// Drops one reference (the last one frees the cell).
+    release: unsafe fn(NonNull<JobHeader>),
+}
+
+/// The type-independent prefix of every job cell: everything the
+/// type-erased paths (ingress, deadline sweep, the wrapper's start gate)
+/// read or resolve without knowing the closure or result type.
+#[repr(C)]
+pub(crate) struct JobHeader {
+    vtable: &'static JobVTable,
     /// Phase machine (see the `PHASE_*` constants).
     pub(crate) phase: AtomicU32,
-    /// The job's cancellation token — installed on the job's root task
-    /// by the wrapper, inherited by everything the job spawns.
-    pub(crate) token: CancelToken,
+    /// `DONE` / `JOINER` bits (see the module docs).
+    wake: AtomicU32,
+    /// Admission class, for the wrapper's per-class accounting.
+    pub(crate) qos: QosClass,
     /// Server-unique id, assigned at admission (0 = untracked).
     pub(crate) id: u64,
     /// `clock::now()` at admission.
@@ -187,35 +238,91 @@ pub(crate) struct JobState<R> {
     pub(crate) started: AtomicU64,
     /// `clock::now()` when the body finished (0 until then).
     pub(crate) finished: AtomicU64,
+    /// The job's cancellation flag, read through every token the job's
+    /// tasks inherit.
+    pub(crate) cancel: CancelFlag,
+    /// The error outcome. Kept in the header (the value lives in
+    /// [`JobCore`]) so a shed can resolve the job without its types.
+    /// Written once by the completer before `DONE`, taken once by the
+    /// handle after it.
+    err: UnsafeCell<Option<JobError>>,
+    /// The registered joiner (see the module docs).
+    joiner: UnsafeCell<Option<Thread>>,
 }
 
-impl<R> JobState<R> {
-    pub(crate) fn new(id: u64, submitted: u64, token: CancelToken) -> Self {
-        JobState {
-            done: AtomicBool::new(false),
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-            phase: AtomicU32::new(PHASE_QUEUED),
-            token,
-            id,
-            submitted,
-            started: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
+impl JobHeader {
+    /// Whether the outcome has been published (lock-free probe).
+    pub(crate) fn is_done(&self) -> bool {
+        self.wake.load(Ordering::Acquire) & DONE != 0
+    }
+
+    /// Publishes the outcome written just before and wakes a registered
+    /// joiner. Called exactly once, by whoever won the phase machine.
+    fn publish(&self) {
+        if self.wake.fetch_or(DONE, Ordering::AcqRel) & JOINER != 0 {
+            // SAFETY: the joiner stored its thread before setting JOINER
+            // (our AcqRel RMW reads after its release), and it no longer
+            // touches the slot: `DONE` is set, so its withdrawal fails.
+            if let Some(t) = unsafe { (*self.joiner.get()).take() } {
+                t.unpark();
+            }
         }
     }
 
-    /// Whether the outcome has been published (lock-free probe).
-    pub(crate) fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
+    /// Resolves the job with `err` and publishes it.
+    pub(crate) fn complete_err(&self, err: JobError) {
+        // SAFETY: only the phase machine's winner completes, once, and
+        // no handle reads the slot before `DONE`.
+        unsafe { *self.err.get() = Some(err) };
+        self.publish();
     }
 
-    /// Publishes the job's outcome and wakes joiners. Called exactly once.
-    pub(crate) fn complete(&self, result: Result<R, JobError>) {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        debug_assert!(slot.is_none(), "job completed twice");
-        *slot = Some(result);
-        self.done.store(true, Ordering::Release);
-        self.cv.notify_all();
+    /// Parks the calling thread until the job is done or `deadline`
+    /// passes; returns whether it is done.
+    fn wait(&self, deadline: Option<Instant>) -> bool {
+        if self.is_done() {
+            return true;
+        }
+        // SAFETY: `JOINER` is clear here (a registration is consumed by
+        // the completer or withdrawn before a `false` return, and a done
+        // job returned above), so no completer reads the slot.
+        unsafe { *self.joiner.get() = Some(std::thread::current()) };
+        if self.wake.fetch_or(JOINER, Ordering::AcqRel) & DONE != 0 {
+            // Completed before the registration: the completer saw no
+            // joiner and will not read the slot.
+            // SAFETY: as above.
+            unsafe { *self.joiner.get() = None };
+            return true;
+        }
+        loop {
+            match deadline {
+                None => std::thread::park(),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return match self.wake.compare_exchange(
+                            JOINER,
+                            0,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        ) {
+                            Ok(_) => {
+                                // SAFETY: withdrawn: a completer that
+                                // comes later sees no `JOINER`.
+                                unsafe { *self.joiner.get() = None };
+                                false
+                            }
+                            // `DONE` won the race.
+                            Err(_) => true,
+                        };
+                    }
+                    std::thread::park_timeout(d - now);
+                }
+            }
+            if self.is_done() {
+                return true;
+            }
+        }
     }
 
     /// Claims the `QUEUED → RUNNING` transition (the wrapper, right
@@ -235,7 +342,7 @@ impl<R> JobState<R> {
     /// Claims a `QUEUED → SHED_*` transition and resolves the handle
     /// with `err` — the job's body will never run. `false` means the job
     /// already started (or was already shed); the caller must not touch
-    /// the handle then.
+    /// the outcome then.
     pub(crate) fn try_shed(&self, err: JobError) -> bool {
         let phase = match err {
             JobError::DeadlineExceeded => PHASE_SHED_DEADLINE,
@@ -250,8 +357,219 @@ impl<R> JobState<R> {
         }
         self.finished
             .store(xgomp_core::clock::now(), Ordering::Release);
-        self.complete(Err(err));
+        self.complete_err(err);
         true
+    }
+
+    /// The deadline sweep's action on this job: sheds it while queued,
+    /// fires its flag while running. Returns whether this call was the
+    /// first to act (one `DeadlineMiss` event per missed job).
+    pub(crate) fn fire_deadline(&self) -> bool {
+        if self.is_done() {
+            return false; // completed under its deadline
+        }
+        let first = !self.cancel.is_fired();
+        self.cancel.expire();
+        self.try_shed(JobError::DeadlineExceeded);
+        first
+    }
+}
+
+/// The header plus the value slot: the part of a cell a
+/// [`JobHandle<R>`] can name without knowing the closure type.
+#[repr(C)]
+pub(crate) struct JobCore<R> {
+    header: JobHeader,
+    /// The value outcome (see `JobHeader::err` for the error half).
+    value: UnsafeCell<Option<R>>,
+}
+
+impl<R> JobCore<R> {
+    /// Publishes the job's outcome. Called exactly once, by the
+    /// wrapper that claimed `RUNNING`.
+    pub(crate) fn complete(&self, result: Result<R, JobError>) {
+        match result {
+            Ok(v) => {
+                // SAFETY: as in `JobHeader::complete_err`.
+                unsafe { *self.value.get() = Some(v) };
+                self.header.publish();
+            }
+            Err(e) => self.header.complete_err(e),
+        }
+    }
+}
+
+/// One job: the only allocation a submission makes (see the module
+/// docs). Every [`JobRef`], [`JobHandle`] and `CancelToken` over it
+/// holds one count of the surrounding `Arc`.
+#[repr(C)]
+pub(crate) struct JobCell<R, F> {
+    core: JobCore<R>,
+    /// The user closure, taken by the job's one run.
+    body: UnsafeCell<Option<F>>,
+}
+
+// SAFETY: `body` is touched only by the holder of the ring's reference
+// (the one run); the outcome slots are written once by the phase
+// machine's winner before the release that sets `DONE` and read once by
+// the handle after acquiring it; the joiner slot follows the wake
+// protocol. Everything else is atomic or immutable.
+unsafe impl<R: Send, F: Send> Send for JobCell<R, F> {}
+unsafe impl<R: Send, F: Send> Sync for JobCell<R, F> {}
+
+impl<R: Send + 'static, F: Send + 'static> CancelSource for JobCell<R, F> {
+    fn cancel_flag(&self) -> &CancelFlag {
+        &self.core.header.cancel
+    }
+}
+
+impl<R, F> JobCell<R, F>
+where
+    R: Send + 'static,
+    F: FnOnce(&TaskCtx<'_>) -> R + Send + 'static,
+{
+    const VTABLE: JobVTable = JobVTable {
+        run: crate::server::run_job::<R, F>,
+        retain: Self::retain,
+        release: Self::release,
+    };
+
+    /// Allocates the job's cell; returns its handle and the reference
+    /// the ring (and then the job's task) carries. `deadline` is a
+    /// clock tick, `u64::MAX` for none.
+    pub(crate) fn create(
+        id: u64,
+        submitted: u64,
+        qos: QosClass,
+        deadline: u64,
+        f: F,
+    ) -> (JobHandle<R>, JobRef) {
+        let cell = Arc::new(JobCell {
+            core: JobCore::<R> {
+                header: JobHeader {
+                    vtable: &Self::VTABLE,
+                    phase: AtomicU32::new(PHASE_QUEUED),
+                    wake: AtomicU32::new(0),
+                    qos,
+                    id,
+                    submitted,
+                    started: AtomicU64::new(0),
+                    finished: AtomicU64::new(0),
+                    cancel: CancelFlag::new(deadline),
+                    err: UnsafeCell::new(None),
+                    joiner: UnsafeCell::new(None),
+                },
+                value: UnsafeCell::new(None),
+            },
+            body: UnsafeCell::new(Some(f)),
+        });
+        // Two references: the handle's and the job's. `#[repr(C)]` puts
+        // the core, and the header inside it, at the cell's address.
+        let job = Arc::into_raw(cell.clone()).cast::<JobHeader>().cast_mut();
+        let core = Arc::into_raw(cell).cast::<JobCore<R>>().cast_mut();
+        // SAFETY: `Arc::into_raw` never returns null.
+        unsafe {
+            (
+                JobHandle {
+                    core: NonNull::new_unchecked(core),
+                    _owns: PhantomData,
+                },
+                JobRef(NonNull::new_unchecked(job)),
+            )
+        }
+    }
+
+    /// Reclaims the cell behind a reference as a typed `Arc`.
+    ///
+    /// # Safety
+    ///
+    /// `job` must point into a live `JobCell<R, F>`; the caller hands
+    /// over one reference.
+    pub(crate) unsafe fn from_job(job: NonNull<JobHeader>) -> Arc<Self> {
+        // SAFETY: `#[repr(C)]` puts the header at the cell's address.
+        unsafe { Arc::from_raw(job.as_ptr().cast::<Self>()) }
+    }
+
+    pub(crate) fn header(&self) -> &JobHeader {
+        &self.core.header
+    }
+
+    pub(crate) fn core(&self) -> &JobCore<R> {
+        &self.core
+    }
+
+    /// Takes the user closure.
+    ///
+    /// # Safety
+    ///
+    /// Only the holder of the ring's reference (the job's one run) may
+    /// call this.
+    pub(crate) unsafe fn take_body(&self) -> Option<F> {
+        // SAFETY: forwarded from the caller.
+        unsafe { (*self.body.get()).take() }
+    }
+
+    unsafe fn retain(job: NonNull<JobHeader>) {
+        // SAFETY: the caller holds a reference to a cell of this type.
+        unsafe { Arc::increment_strong_count(job.as_ptr().cast::<Self>()) }
+    }
+
+    unsafe fn release(job: NonNull<JobHeader>) {
+        // SAFETY: the caller hands over a reference to a cell of this type.
+        drop(unsafe { Self::from_job(job) })
+    }
+}
+
+/// An owning, type-erased, one-word reference to a job cell: what the
+/// ingress lanes, the spill queue, the deadline heap and the job's task
+/// carry.
+pub(crate) struct JobRef(NonNull<JobHeader>);
+
+// SAFETY: the cell is `Send + Sync` (see `JobCell`).
+unsafe impl Send for JobRef {}
+
+impl JobRef {
+    pub(crate) fn header(&self) -> &JobHeader {
+        // SAFETY: a reference keeps the cell alive.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// Gives up ownership as a raw pointer (a ring slot).
+    pub(crate) fn into_raw(self) -> NonNull<JobHeader> {
+        let p = self.0;
+        std::mem::forget(self);
+        p
+    }
+
+    /// Takes back ownership of [`into_raw`](Self::into_raw)'s pointer.
+    ///
+    /// # Safety
+    ///
+    /// `p` must come from `into_raw`, and be reclaimed once.
+    pub(crate) unsafe fn from_raw(p: NonNull<JobHeader>) -> Self {
+        JobRef(p)
+    }
+
+    /// Runs the job through the server's wrapper.
+    pub(crate) fn run(self, ctx: &TaskCtx<'_>, shared: &ServerShared) {
+        let run = self.header().vtable.run;
+        // SAFETY: the vtable matches the cell; the reference moves in.
+        unsafe { run(self.into_raw(), ctx, shared) }
+    }
+}
+
+impl Clone for JobRef {
+    fn clone(&self) -> Self {
+        // SAFETY: we hold a reference, so the cell is alive.
+        unsafe { (self.header().vtable.retain)(self.0) };
+        JobRef(self.0)
+    }
+}
+
+impl Drop for JobRef {
+    fn drop(&mut self) {
+        // SAFETY: we own one reference.
+        unsafe { (self.header().vtable.release)(self.0) }
     }
 }
 
@@ -273,7 +591,22 @@ impl<R> JobState<R> {
 /// [`join_timeout`](Self::join_timeout) when the pause duration is
 /// under the caller's control.
 pub struct JobHandle<R> {
-    pub(crate) state: Arc<JobState<R>>,
+    core: NonNull<JobCore<R>>,
+    _owns: PhantomData<JobCore<R>>,
+}
+
+// SAFETY: the handle's own accesses follow the cell's protocol (see
+// `JobCell`); `R` only ever moves out of it, so `R: Send` suffices.
+unsafe impl<R: Send> Send for JobHandle<R> {}
+unsafe impl<R: Send> Sync for JobHandle<R> {}
+
+impl<R> Drop for JobHandle<R> {
+    fn drop(&mut self) {
+        let release = self.header().vtable.release;
+        // SAFETY: the handle owns one reference; `#[repr(C)]` puts the
+        // header at the core's address.
+        unsafe { release(self.core.cast()) }
+    }
 }
 
 impl<R> std::fmt::Debug for JobHandle<R> {
@@ -285,25 +618,20 @@ impl<R> std::fmt::Debug for JobHandle<R> {
 }
 
 impl<R> JobHandle<R> {
-    pub(crate) fn new(id: u64, submitted: u64, token: CancelToken) -> (Self, Arc<JobState<R>>) {
-        let state = Arc::new(JobState::new(id, submitted, token));
-        (
-            JobHandle {
-                state: state.clone(),
-            },
-            state,
-        )
+    fn header(&self) -> &JobHeader {
+        // SAFETY: the handle keeps the cell alive.
+        unsafe { &self.core.as_ref().header }
     }
 
     /// Whether the job has completed (lock-free probe).
     pub fn is_done(&self) -> bool {
-        self.state.done.load(Ordering::Acquire)
+        self.header().is_done()
     }
 
     /// Server-unique id of this job — the flight recorder keys the job's
     /// `JobStart`/`JobEnd` async span on the same value.
     pub fn job_id(&self) -> u64 {
-        self.state.id
+        self.header().id
     }
 
     /// Requests cooperative cancellation.
@@ -319,8 +647,9 @@ impl<R> JobHandle<R> {
     /// A body that never reaches a checkpoint runs to completion — the
     /// flag preempts nothing. Idempotent; a no-op on completed jobs.
     pub fn cancel(&self) {
-        self.state.token.cancel();
-        self.state.try_shed(JobError::Cancelled);
+        let header = self.header();
+        header.cancel.cancel();
+        header.try_shed(JobError::Cancelled);
     }
 
     /// The job's latency breakdown, once complete; `None` while pending.
@@ -332,13 +661,14 @@ impl<R> JobHandle<R> {
         if !self.is_done() {
             return None;
         }
-        let started = self.state.started.load(Ordering::Acquire);
-        let finished = self.state.finished.load(Ordering::Acquire);
+        let h = self.header();
+        let started = h.started.load(Ordering::Acquire);
+        let finished = h.finished.load(Ordering::Acquire);
         Some(JobReport {
-            job_id: self.state.id,
-            queued_cycles: started.saturating_sub(self.state.submitted),
+            job_id: h.id,
+            queued_cycles: started.saturating_sub(h.submitted),
             run_cycles: finished.saturating_sub(started),
-            total_cycles: finished.saturating_sub(self.state.submitted),
+            total_cycles: finished.saturating_sub(h.submitted),
         })
     }
 
@@ -415,20 +745,7 @@ impl<R> JobHandle<R> {
     /// job, use [`join_within`](Self::join_within) — parking a worker on
     /// another job's completion can deadlock the scheduler (see there).
     pub fn join(self) -> Result<R, JobError> {
-        {
-            let mut slot = self
-                .state
-                .slot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            while slot.is_none() {
-                slot = self
-                    .state
-                    .cv
-                    .wait(slot)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        self.header().wait(None);
         self.take()
     }
 
@@ -436,46 +753,64 @@ impl<R> JobHandle<R> {
     /// (handle inside) comes back on timeout so the caller can keep
     /// waiting, cancel, or walk away.
     pub fn join_timeout(self, timeout: Duration) -> Result<Result<R, JobError>, JoinTimeout<R>> {
-        {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut slot = self
-                .state
-                .slot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            while slot.is_none() {
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    drop(slot);
-                    return Err(JoinTimeout { handle: self });
-                }
-                let (guard, _) = self
-                    .state
-                    .cv
-                    .wait_timeout(slot, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                slot = guard;
-            }
+        if self.header().wait(Some(Instant::now() + timeout)) {
+            Ok(self.take())
+        } else {
+            Err(JoinTimeout { handle: self })
         }
-        Ok(self.take())
     }
 
+    /// Takes the outcome of a done job.
     fn take(self) -> Result<R, JobError> {
-        self.state
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("completed job has a result")
+        debug_assert!(self.is_done());
+        // SAFETY: `DONE` was observed with acquire ordering, so the
+        // outcome is written and nobody else touches it; `self` is the
+        // job's only handle.
+        unsafe {
+            let core = self.core.as_ref();
+            match (*core.header.err.get()).take() {
+                Some(e) => Err(e),
+                None => Ok((*core.value.get())
+                    .take()
+                    .expect("completed job has a result")),
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
-    fn pending<R>(id: u64, submitted: u64) -> (JobHandle<R>, Arc<JobState<R>>) {
-        JobHandle::new(id, submitted, CancelToken::new())
+    /// The server's side of a pending job: its reference, typed.
+    struct Completer<R>(JobRef, PhantomData<R>);
+
+    impl<R> Completer<R> {
+        fn complete(&self, result: Result<R, JobError>) {
+            // SAFETY: the cell was created with result type `R`, and
+            // `#[repr(C)]` puts its core at the header's address.
+            let core = unsafe { self.0 .0.cast::<JobCore<R>>().as_ref() };
+            core.complete(result);
+        }
+    }
+
+    impl<R> std::ops::Deref for Completer<R> {
+        type Target = JobHeader;
+        fn deref(&self) -> &JobHeader {
+            self.0.header()
+        }
+    }
+
+    fn pending<R: Send + 'static>(id: u64, submitted: u64) -> (JobHandle<R>, Completer<R>) {
+        let (handle, job) = JobCell::create(
+            id,
+            submitted,
+            QosClass::Normal,
+            u64::MAX,
+            |_: &TaskCtx<'_>| -> R { unreachable!("never run") },
+        );
+        (handle, Completer(job, PhantomData))
     }
 
     #[test]
@@ -545,7 +880,7 @@ mod tests {
         let (handle, state) = pending::<u32>(4, 0);
         handle.cancel();
         assert!(handle.is_done(), "queued job resolves on the spot");
-        assert!(state.token.is_fired());
+        assert!(state.cancel.is_fired());
         assert_eq!(state.phase.load(Ordering::Relaxed), PHASE_SHED_CANCEL);
         assert!(matches!(handle.join(), Err(JobError::Cancelled)));
     }
@@ -556,12 +891,84 @@ mod tests {
         assert!(state.try_start(), "wrapper claims the start");
         handle.cancel();
         assert!(!handle.is_done(), "running job resolves at a checkpoint");
-        assert!(state.token.is_fired(), "checkpoints will observe the flag");
+        assert!(state.cancel.is_fired(), "checkpoints will observe the flag");
         assert!(
             !state.try_shed(JobError::Cancelled),
             "start already claimed"
         );
         state.complete(Err(JobError::Cancelled));
         assert!(handle.join().unwrap_err().is_cancelled());
+    }
+
+    /// Completion races every join flavour: a lost wake-up shows up as
+    /// a bounded join timing out on a job completed long before.
+    #[test]
+    fn joins_racing_completion_never_lose_a_wake() {
+        for i in 0..2_000u32 {
+            let (handle, state) = pending::<u32>(u64::from(i), 0);
+            let completer = std::thread::spawn(move || {
+                for _ in 0..(i % 7) * 50 {
+                    std::hint::spin_loop();
+                }
+                state.complete(Ok(i));
+            });
+            let got = match i % 3 {
+                0 => handle.join_timeout(Duration::from_secs(10)).ok(),
+                // Short timeouts: registrations withdrawn and renewed
+                // while the completion lands.
+                1 => {
+                    let mut h = handle;
+                    let give_up = Instant::now() + Duration::from_secs(10);
+                    loop {
+                        match h.join_timeout(Duration::from_micros(20)) {
+                            Ok(r) => break Some(r),
+                            Err(t) if Instant::now() < give_up => h = t.handle,
+                            Err(_) => break None,
+                        }
+                    }
+                }
+                _ => {
+                    let mut h = handle;
+                    let give_up = Instant::now() + Duration::from_secs(10);
+                    loop {
+                        match h.try_join() {
+                            Ok(r) => break Some(r),
+                            Err(back) if Instant::now() < give_up => h = back,
+                            Err(_) => break None,
+                        }
+                    }
+                }
+            };
+            assert_eq!(got.expect("lost wake-up").unwrap(), i);
+            completer.join().unwrap();
+        }
+    }
+
+    /// Outcomes and closures are dropped exactly once, whether or not
+    /// anyone takes them.
+    #[test]
+    fn cell_drops_outcome_and_body_once() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Canary;
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        // A completed value nobody joins.
+        let (handle, state) = pending::<Canary>(1, 0);
+        state.complete(Ok(Canary));
+        drop(handle);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 0, "the job still holds it");
+        drop(state);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
+        // A closure that never runs.
+        let canary = Canary;
+        let (handle, job) = JobCell::create(2, 0, QosClass::Normal, u64::MAX, move |_| {
+            let _keep = &canary;
+        });
+        drop(job);
+        drop(handle);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 2);
     }
 }

@@ -31,8 +31,9 @@
 //! thread-hash lane choice whose collisions let two submitters contend
 //! on one lane while others sat empty.
 //!
-//! Jobs are boxed `FnOnce(&TaskCtx)` bodies; a drained body is handed to
-//! `TaskCtx::spawn_boxed` by whichever idle worker claimed the drain.
+//! Jobs travel as [`JobRef`]s — one thin pointer to the job's cell; a
+//! drained job is spawned as a task by whichever idle worker claimed the
+//! drain.
 //!
 //! ## Generations
 //!
@@ -49,17 +50,17 @@
 //! [`SubmitterHandle`](crate::SubmitterHandle)'s `(shard, lane)`
 //! coordinates stay valid across every generation.
 
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use xgomp_core::TaskCtx;
 use xgomp_xqueue::{BQueue, Backoff};
 
-/// A submitted job body, exactly as the scheduler will consume it.
-pub(crate) type JobBody = Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>;
+use crate::handle::{JobHeader, JobRef};
+
+/// Jobs one drain claim takes at most: the on-stack hand-off buffer.
+const DRAIN_MAX: usize = 32;
 
 struct Lane {
-    q: BQueue<JobBody>,
+    q: BQueue<JobHeader>,
     /// Producer-side claim: holder is the lane's unique producer.
     producing: AtomicBool,
     /// Permanent reservation (registered submitter). While set, the
@@ -128,7 +129,7 @@ impl IngressShard {
                     .is_ok()
             })
             .map(|i| i + 1)?;
-        // Registration handshake (Dekker with `try_push_ptr`): an
+        // Registration handshake (Dekker with `try_push`): an
         // anonymous producer that claimed `producing` before this
         // reservation became visible may still be mid-enqueue, and
         // returning now would let the reservation holder become a second
@@ -138,7 +139,7 @@ impl IngressShard {
         // touching the ring, or this load sees its `producing` claim and
         // waits for the release — whose Release/Acquire pairing also
         // makes the in-flight enqueue happen-before the holder's first
-        // `push_ptr_reserved`. Claimants that bail still toggle
+        // `push_reserved`. Claimants that bail still toggle
         // `producing`, but never enqueue, so one observed `false` here
         // is enough; the wait spans at most one in-flight enqueue plus
         // brief bail toggles from claimants whose pre-check missed the
@@ -159,38 +160,27 @@ impl IngressShard {
 
     /// Pushes through a reserved lane. The caller must hold the
     /// reservation of `lane` — that makes it the lane's unique producer,
-    /// so the push is a plain SPSC enqueue with no claim traffic.
-    pub(crate) fn push_ptr_reserved(
-        &self,
-        lane: usize,
-        ptr: NonNull<JobBody>,
-    ) -> Result<(), NonNull<JobBody>> {
+    /// so the push is a plain SPSC enqueue with no claim traffic. A full
+    /// lane hands the job back.
+    pub(crate) fn push_reserved(&self, lane: usize, job: JobRef) -> Result<(), JobRef> {
         let l = &self.lanes[lane];
         debug_assert!(l.reserved.load(Ordering::Relaxed), "lane not reserved");
         // SAFETY: the reservation makes the holder the unique producer.
-        let pushed = unsafe { l.q.enqueue(ptr) };
-        if pushed.is_ok() {
-            l.pushed.fetch_add(1, Ordering::Relaxed);
+        match unsafe { l.q.enqueue(job.into_raw()) } {
+            Ok(()) => {
+                l.pushed.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            // SAFETY: the ring handed back the pointer it refused.
+            Err(back) => Err(unsafe { JobRef::from_raw(back) }),
         }
-        pushed
     }
 
-    /// Attempts to enqueue `job` into any lane of this shard. Fails when
-    /// every lane is full or producer-claimed by someone else.
-    #[cfg(test)]
-    pub(crate) fn try_push(&self, job: JobBody) -> Result<(), JobBody> {
-        let ptr = NonNull::from(Box::leak(Box::new(job)));
-        self.try_push_ptr(ptr).map_err(|back| {
-            // SAFETY: the rejected pointer is the box we leaked above.
-            *unsafe { Box::from_raw(back.as_ptr()) }
-        })
-    }
-
-    /// Pointer-level [`try_push`](Self::try_push): ownership of the
-    /// boxed body transfers on `Ok`, returns to the caller on `Err`.
-    /// Lets retry loops probe many lanes/shards without re-boxing the
-    /// job per attempt. Skips reserved lanes.
-    pub(crate) fn try_push_ptr(&self, ptr: NonNull<JobBody>) -> Result<(), NonNull<JobBody>> {
+    /// Attempts to enqueue `job` into any lane of this shard. Fails —
+    /// handing the job back — when every lane is full or
+    /// producer-claimed by someone else. Skips reserved lanes.
+    pub(crate) fn try_push(&self, job: JobRef) -> Result<(), JobRef> {
+        let mut ptr = job.into_raw();
         let start = self.next_lane.fetch_add(1, Ordering::Relaxed);
         for i in 0..self.lanes.len() {
             let lane = &self.lanes[(start + i) % self.lanes.len()];
@@ -222,18 +212,22 @@ impl IngressShard {
                 lane.pushed.fetch_add(1, Ordering::Relaxed);
             }
             lane.producing.store(false, Ordering::Release);
-            if pushed.is_ok() {
-                return Ok(());
+            match pushed {
+                Ok(()) => return Ok(()),
+                Err(back) => ptr = back,
             }
         }
-        Err(ptr)
+        // SAFETY: no ring accepted the pointer `into_raw` gave us.
+        Err(unsafe { JobRef::from_raw(ptr) })
     }
 
-    /// Drains up to `max` jobs if the drain claim is free; returns the
-    /// drained bodies' count after feeding each to `f`. Jobs are handed
-    /// out *after* the claim is released so `f` (which may execute a job
-    /// inline on queue overflow) never blocks other drainers.
-    pub(crate) fn try_drain(&self, max: usize, f: &mut dyn FnMut(JobBody)) -> usize {
+    /// Drains up to `max` jobs (at most `DRAIN_MAX` per claim) if the
+    /// drain claim is free; returns the drained jobs' count after
+    /// feeding each to `f`. Jobs are handed out *after* the claim is
+    /// released so `f` (which may execute a job inline on queue
+    /// overflow) never blocks other drainers; they wait in a buffer on
+    /// the stack in between.
+    pub(crate) fn try_drain(&self, max: usize, f: &mut dyn FnMut(JobRef)) -> usize {
         if self
             .draining
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -241,17 +235,20 @@ impl IngressShard {
         {
             return 0;
         }
-        let mut batch: Vec<JobBody> = Vec::new();
+        let max = max.min(DRAIN_MAX);
+        let mut batch: [Option<JobRef>; DRAIN_MAX] = [const { None }; DRAIN_MAX];
+        let mut n = 0;
         'lanes: for lane in self.lanes.iter() {
-            while batch.len() < max {
+            while n < max {
                 // SAFETY: the `draining` claim makes this thread the
                 // unique consumer of every lane in the shard.
                 match unsafe { lane.q.dequeue() } {
                     Some(p) => {
                         lane.drained.fetch_add(1, Ordering::Relaxed);
                         // SAFETY: every queued pointer came from
-                        // `Box::leak` in a push path.
-                        batch.push(*unsafe { Box::from_raw(p.as_ptr()) });
+                        // `JobRef::into_raw` in a push path.
+                        batch[n] = Some(unsafe { JobRef::from_raw(p) });
+                        n += 1;
                     }
                     None => continue 'lanes,
                 }
@@ -259,8 +256,7 @@ impl IngressShard {
             break;
         }
         self.draining.store(false, Ordering::Release);
-        let n = batch.len();
-        for job in batch {
+        for job in batch.into_iter().flatten() {
             f(job);
         }
         n
@@ -298,13 +294,14 @@ impl IngressShard {
 
 impl Drop for IngressShard {
     fn drop(&mut self) {
-        // Free any bodies that were never drained (only reachable when a
-        // server is torn down without its shutdown drain, e.g. on panic).
+        // Release any jobs that were never drained (only reachable when
+        // a server is torn down without its shutdown drain, e.g. on
+        // panic).
         for lane in self.lanes.iter() {
             // SAFETY: `&mut self` — no concurrent producers or consumers.
             while let Some(p) = unsafe { lane.q.dequeue() } {
-                // SAFETY: pointer from `Box::leak` in a push path.
-                drop(unsafe { Box::from_raw(p.as_ptr()) });
+                // SAFETY: pointer from `JobRef::into_raw` in a push path.
+                drop(unsafe { JobRef::from_raw(p) });
             }
         }
     }
@@ -345,42 +342,25 @@ impl ShardedIngress {
         self.shards.iter().map(|s| s.claim_conflicts()).sum()
     }
 
-    /// Pushes preferring shard `hint`, falling over to the others.
-    #[cfg(test)]
-    pub(crate) fn push_from(&self, hint: usize, job: JobBody) -> Result<(), JobBody> {
-        let ptr = NonNull::from(Box::leak(Box::new(job)));
-        self.push_ptr_from(hint, ptr)
-            .map(|_shard| ())
-            .map_err(|back| {
-                // SAFETY: the rejected pointer is the box we leaked above.
-                *unsafe { Box::from_raw(back.as_ptr()) }
-            })
-    }
-
-    /// Pointer-level [`push_from`](Self::push_from); see
-    /// [`IngressShard::try_push_ptr`] for the ownership contract.
-    /// `Ok` carries the index of the shard that accepted the job, so the
+    /// Pushes preferring shard `hint`, falling over to the others. `Ok`
+    /// carries the index of the shard that accepted the job, so the
     /// caller can ring the doorbell of the zone the job actually landed
     /// in (fallover may pick a different shard than `hint`).
-    pub(crate) fn push_ptr_from(
-        &self,
-        hint: usize,
-        mut ptr: NonNull<JobBody>,
-    ) -> Result<usize, NonNull<JobBody>> {
+    pub(crate) fn push_from(&self, hint: usize, mut job: JobRef) -> Result<usize, JobRef> {
         for i in 0..self.shards.len() {
             let shard = (hint + i) % self.shards.len();
-            match self.shards[shard].try_push_ptr(ptr) {
+            match self.shards[shard].try_push(job) {
                 Ok(()) => return Ok(shard),
-                Err(back) => ptr = back,
+                Err(back) => job = back,
             }
         }
-        Err(ptr)
+        Err(job)
     }
 
     /// Drains up to `max` jobs, preferring shard `hint` (the caller's
     /// zone) and helping the other shards only when it is empty — work
     /// conservation without giving up locality.
-    pub(crate) fn drain_into(&self, hint: usize, max: usize, f: &mut dyn FnMut(JobBody)) -> usize {
+    pub(crate) fn drain_into(&self, hint: usize, max: usize, f: &mut dyn FnMut(JobRef)) -> usize {
         let own = self.shards[hint % self.shards.len()].try_drain(max, f);
         if own > 0 {
             return own;
@@ -411,13 +391,25 @@ impl ShardedIngress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::JobCell;
+    use crate::QosClass;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    fn counter_job(hits: Arc<AtomicU64>) -> JobBody {
-        Box::new(move |_| {
+    /// A job whose body counts its runs (the ring tests only move jobs
+    /// around, so `hits` must stay 0); its handle is dropped at once.
+    fn counter_job(hits: Arc<AtomicU64>) -> JobRef {
+        JobCell::create(0, 0, QosClass::Normal, u64::MAX, move |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         })
+        .1
+    }
+
+    fn job(i: u64) -> JobRef {
+        JobCell::create(i, 0, QosClass::Normal, u64::MAX, move |_| {
+            std::hint::black_box(i);
+        })
+        .1
     }
 
     #[test]
@@ -428,7 +420,7 @@ mod tests {
             shard.try_push(counter_job(hits.clone())).ok().unwrap();
         }
         assert!(!shard.looks_empty());
-        let mut drained: Vec<JobBody> = Vec::new();
+        let mut drained: Vec<JobRef> = Vec::new();
         let n = shard.try_drain(16, &mut |j| drained.push(j));
         assert_eq!(n, 5);
         assert!(shard.looks_empty());
@@ -439,6 +431,44 @@ mod tests {
         assert_eq!((pushed, got), (5, 5));
         drop(drained); // dropping undrained bodies must not leak or run them
         assert_eq!(hits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn one_claim_drains_at_most_one_buffer() {
+        let shard = IngressShard::new(2, 64);
+        for i in 0..(DRAIN_MAX as u64 + 5) {
+            shard.try_push(job(i)).ok().unwrap();
+        }
+        assert_eq!(shard.try_drain(usize::MAX, &mut drop), DRAIN_MAX);
+        assert_eq!(shard.try_drain(usize::MAX, &mut drop), 5);
+        assert!(shard.looks_empty());
+    }
+
+    #[test]
+    fn undrained_jobs_are_released_once_at_teardown() {
+        struct Canary(Arc<AtomicU64>);
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicU64::new(0));
+        let hits = Arc::new(AtomicU64::new(0));
+        let ingress = ShardedIngress::new(2, 2, 8);
+        for i in 0..20 {
+            let canary = Canary(drops.clone());
+            let hits = hits.clone();
+            let (handle, job) = JobCell::create(i, 0, QosClass::Normal, u64::MAX, move |_| {
+                let _keep = &canary;
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            drop(handle);
+            ingress.push_from(i as usize, job).ok().unwrap();
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "queued jobs are alive");
+        drop(ingress);
+        assert_eq!(drops.load(Ordering::SeqCst), 20, "each body dropped once");
+        assert_eq!(hits.load(Ordering::Relaxed), 0, "and never run");
     }
 
     #[test]
@@ -473,8 +503,10 @@ mod tests {
         let counters = shard.lane_counters();
         assert_eq!(counters[lane].0, 0, "reserved lane untouched");
         // The reservation holder pushes without a claim.
-        let ptr = NonNull::from(Box::leak(Box::new(counter_job(hits.clone()))));
-        shard.push_ptr_reserved(lane, ptr).ok().unwrap();
+        shard
+            .push_reserved(lane, counter_job(hits.clone()))
+            .ok()
+            .unwrap();
         assert_eq!(shard.lane_counters()[lane].0, 1);
         // Release: the lane rejoins the anonymous pool.
         shard.release_lane(lane);
@@ -557,15 +589,12 @@ mod tests {
                         }
                     };
                     for i in 0..PER_ROUND {
-                        let job: JobBody = Box::new(move |_| {
-                            std::hint::black_box(i);
-                        });
-                        let mut ptr = NonNull::from(Box::leak(Box::new(job)));
+                        let mut job = job(i);
                         loop {
-                            match shard.push_ptr_reserved(lane, ptr) {
+                            match shard.push_reserved(lane, job) {
                                 Ok(()) => break,
                                 Err(back) => {
-                                    ptr = back;
+                                    job = back;
                                     std::thread::yield_now();
                                 }
                             }
@@ -581,9 +610,7 @@ mod tests {
                 let shard = shard.clone();
                 std::thread::spawn(move || {
                     for i in 0..ANON_JOBS {
-                        let mut job: JobBody = Box::new(move |_| {
-                            std::hint::black_box(i);
-                        });
+                        let mut job = job(i);
                         loop {
                             match shard.try_push(job) {
                                 Ok(()) => break,
@@ -651,12 +678,10 @@ mod tests {
                 let ingress = ingress.clone();
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
-                        let mut job: JobBody = Box::new(move |_| {
-                            std::hint::black_box(i);
-                        });
+                        let mut job = job(i);
                         loop {
                             match ingress.push_from(t as usize, job) {
-                                Ok(()) => break,
+                                Ok(_) => break,
                                 Err(back) => {
                                     job = back;
                                     std::thread::yield_now();

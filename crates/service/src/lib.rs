@@ -31,6 +31,14 @@
 //!  hysteresis) and hot-swaps DlbTuning
 //! ```
 //!
+//! A job costs one allocation of its own: a reference-counted *cell*
+//! holding its phase, stamps, result slot, cancellation flag and
+//! closure, which the rings and the job's task carry as one thin
+//! pointer. Completion publishes the result with one release RMW and
+//! unparks a joiner only if one registered, so an un-awaited job
+//! completes without a lock or a system call (see the README's
+//! "per-job path" section).
+//!
 //! ## Idle/wake semantics
 //!
 //! An idle server burns ~0 CPU: workers that exhaust their spin backoff

@@ -57,13 +57,16 @@
 //! transition) brings it back.
 
 use std::collections::{BinaryHeap, VecDeque};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::controller::AdaptiveController;
-use crate::handle::{JobError, JobHandle, JobPanic, PHASE_SHED_DEADLINE};
-use crate::ingress::{JobBody, ShardedIngress};
+use crate::handle::{
+    JobCell, JobError, JobHandle, JobHeader, JobPanic, JobRef, PHASE_SHED_DEADLINE,
+};
+use crate::ingress::ShardedIngress;
 use crate::metrics::{MetricsHooks, MetricsListener};
 use crate::{QosClass, ServerConfig, SubmitOptions};
 use xgomp_core::{
@@ -237,6 +240,24 @@ pub(crate) const LATENCY_BUCKETS_SECS: [f64; 12] = [
     1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 10.0,
 ];
 
+/// The upper bucket edges of [`LATENCY_BUCKETS_SECS`] in clock ticks:
+/// edge `i` is the largest tick count whose `clock::ticks_to_secs` is
+/// within bucket `i`, so comparing ticks against it files every sample
+/// exactly where comparing seconds would. Computed once per server.
+fn latency_edges_ticks() -> [u64; LATENCY_BUCKETS_SECS.len()] {
+    let per_sec = clock::cycles_per_ns() * 1e9;
+    LATENCY_BUCKETS_SECS.map(|b| {
+        let mut t = (b * per_sec) as u64;
+        while t > 0 && clock::ticks_to_secs(t) > b {
+            t -= 1;
+        }
+        while clock::ticks_to_secs(t + 1) <= b {
+            t += 1;
+        }
+        t
+    })
+}
+
 /// One fixed-bucket latency histogram: lock-free recording in clock
 /// ticks, exposition in seconds. Buckets store *non*-cumulative counts;
 /// the render path cumulates (the exposition format wants cumulative
@@ -256,10 +277,12 @@ impl LatencyHist {
         }
     }
 
-    fn record_ticks(&self, ticks: u64) {
-        let secs = clock::ticks_to_secs(ticks);
-        if let Some(i) = LATENCY_BUCKETS_SECS.iter().position(|&b| secs <= b) {
-            self.counts[i].fetch_add(1, Ordering::Relaxed);
+    /// Records one sample against the tick `edges` of
+    /// [`latency_edges_ticks`].
+    fn record_ticks(&self, ticks: u64, edges: &[u64; LATENCY_BUCKETS_SECS.len()]) {
+        let i = edges.partition_point(|&e| e < ticks);
+        if let Some(c) = self.counts.get(i) {
+            c.fetch_add(1, Ordering::Relaxed);
         }
         self.sum_ticks.fetch_add(ticks, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -284,10 +307,11 @@ impl LatencyHist {
     }
 }
 
-/// Per-QoS-class counters and latency histograms (one slot per
-/// [`QosClass`], indexed by `QosClass::index`).
+/// Per-QoS-class outcome counters and latency histograms, written by
+/// the workers (one slot per [`QosClass`], indexed by
+/// `QosClass::index`; the submitted count lives with the submitters'
+/// counters).
 struct ClassCounters {
-    submitted: AtomicU64,
     completed: AtomicU64,
     cancelled: AtomicU64,
     shed: AtomicU64,
@@ -298,7 +322,6 @@ struct ClassCounters {
 impl ClassCounters {
     fn new() -> Self {
         ClassCounters {
-            submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -306,6 +329,59 @@ impl ClassCounters {
             run_hist: LatencyHist::new(),
         }
     }
+}
+
+/// Pads a value to its own 128-byte block (a cache line and its
+/// prefetch pair), so counters written by different threads never
+/// share a line.
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// The counters submitters write: admission and placement.
+#[derive(Default)]
+struct SubmitCounters {
+    submitted: AtomicU64,
+    rejected: AtomicU64,
+    /// Per-class admissions, indexed by `QosClass::index()`.
+    class_submitted: [AtomicU64; 3],
+    /// Monotone job-id allocator (ids start at 1; `0` means untracked).
+    /// The id keys the job's `JobStart`/`JobEnd` async trace span and
+    /// its [`JobReport`](crate::JobReport).
+    job_seq: AtomicU64,
+    /// Submitters currently between a "rings open" check and the end of
+    /// their ring push. The pause drain may not quiesce while this is
+    /// nonzero: a producer that observed `SERVING` could otherwise land
+    /// its (pre-pause-admitted) job in a ring *after* the drain's final
+    /// emptiness check, stranding it until resume. SeqCst Dekker with
+    /// the state flip — see `announce_ring_producer`.
+    ring_producers: AtomicUsize,
+}
+
+/// The counters workers write: drain and completion.
+struct WorkerCounters {
+    /// Jobs handed to the team's scheduler but not yet completed — the
+    /// quantity a pause drains to zero (ingress-queued jobs stay queued).
+    in_team: AtomicUsize,
+    completed: AtomicU64,
+    /// Jobs whose body started and was then terminated at a cancellation
+    /// checkpoint. Disjoint from `completed` and `shed`.
+    cancelled: AtomicU64,
+    /// Jobs resolved without their body ever running (cancel/deadline
+    /// won the race out of `QUEUED`). Disjoint from the other two, so
+    /// `completed + cancelled + shed` drains to `submitted` exactly.
+    shed: AtomicU64,
+    /// Per-class counters + latency histograms, indexed by
+    /// `QosClass::index()`.
+    class: [ClassCounters; 3],
+    /// The histograms' bucket edges in ticks ([`latency_edges_ticks`]).
+    hist_edges: [u64; LATENCY_BUCKETS_SECS.len()],
 }
 
 /// Point-in-time per-class job counters ([`TaskServer::class_stats`]).
@@ -329,13 +405,12 @@ pub struct QosClassStats {
 }
 
 /// One registered deadline, ordered earliest-first in the sweep heap.
-/// `fire` sheds the job when still queued / fires its token when
-/// running, returning whether this sweep was the first to act (so the
-/// serve loop emits exactly one `DeadlineMiss` event per missed job).
+/// The sweep sheds the job when still queued / fires its flag when
+/// running ([`JobHeader::fire_deadline`]).
 struct DeadlineEntry {
     tick: u64,
     id: u64,
-    fire: Box<dyn FnOnce() -> bool + Send>,
+    job: JobRef,
 }
 
 impl PartialEq for DeadlineEntry {
@@ -369,18 +444,17 @@ pub(crate) struct ServerShared {
     doorbell: ParkerCell,
     /// Lifecycle state machine (`SERVING`/`DRAINING`/`PAUSED`/`CLOSING`).
     /// Written only under the `ctl` lock (or by the exclusive-borrow
-    /// shutdown path); read lock-free on the hot paths.
-    state: AtomicU32,
+    /// shutdown path); read lock-free on the hot paths, so it keeps a
+    /// line of its own, away from the counters.
+    state: CachePadded<AtomicU32>,
     /// Workers of the current/next generation (reported as "parked"
     /// while the server is paused — they sit on the team's start gate).
     current_threads: AtomicUsize,
     /// Generations opened so far.
     generation: AtomicU64,
-    /// Jobs admitted but not yet completed (ingress-queued + in-team).
-    in_flight: AtomicUsize,
-    /// Jobs handed to the team's scheduler but not yet completed — the
-    /// quantity a pause drains to zero (ingress-queued jobs stay queued).
-    in_team: AtomicUsize,
+    /// Jobs admitted but not yet completed (ingress-queued + in-team):
+    /// written by submitters and workers alike, so on a line of its own.
+    in_flight: CachePadded<AtomicUsize>,
     max_in_flight: usize,
     /// In-flight slots only [`QosClass::LatencySensitive`] may use:
     /// Normal/Background admission stops at `max_in_flight − ls_reserve`.
@@ -389,20 +463,11 @@ pub(crate) struct ServerShared {
     bg_cap: usize,
     /// Background jobs currently in flight (admission + wrapper drain,
     /// same discipline as `in_flight`).
-    bg_in_flight: AtomicUsize,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    /// Jobs whose body started and was then terminated at a cancellation
-    /// checkpoint. Disjoint from `completed` and `shed`.
-    cancelled: AtomicU64,
-    /// Jobs resolved without their body ever running (cancel/deadline
-    /// won the race out of `QUEUED`). Disjoint from the other two, so
-    /// `completed + cancelled + shed` drains to `submitted` exactly.
-    shed: AtomicU64,
-    rejected: AtomicU64,
-    /// Per-class counters + latency histograms, indexed by
-    /// `QosClass::index()`.
-    class_stats: [ClassCounters; 3],
+    bg_in_flight: CachePadded<AtomicUsize>,
+    /// Counters only submitters write.
+    submit_side: CachePadded<SubmitCounters>,
+    /// Counters only workers write.
+    worker_side: CachePadded<WorkerCounters>,
     /// Pending deadlines, earliest on top; swept by the serve loop.
     deadlines: Mutex<BinaryHeap<DeadlineEntry>>,
     /// Cache of the heap top's tick (`u64::MAX` = empty): the serve
@@ -411,15 +476,8 @@ pub(crate) struct ServerShared {
     /// Placement backstop for admitted jobs that find no ring slot while
     /// no drainer runs (paused server + full anonymous lanes): bounded by
     /// the admission clamp, drained before the ingress at every poll.
-    spill: Mutex<VecDeque<JobBody>>,
+    spill: Mutex<VecDeque<JobRef>>,
     spill_nonempty: std::sync::atomic::AtomicBool,
-    /// Submitters currently between a "rings open" check and the end of
-    /// their ring push. The pause drain may not quiesce while this is
-    /// nonzero: a producer that observed `SERVING` could otherwise land
-    /// its (pre-pause-admitted) job in a ring *after* the drain's final
-    /// emptiness check, stranding it until resume. SeqCst Dekker with
-    /// the state flip — see `announce_ring_producer`.
-    ring_producers: AtomicUsize,
     /// Blocked `submit` callers parked on `bp_cv` (instead of the old
     /// spin-retry); completions notify when someone is waiting.
     bp_waiters: AtomicUsize,
@@ -463,10 +521,6 @@ pub(crate) struct ServerShared {
     /// level gates every emission — `Off` costs one relaxed load per
     /// site — and is live-flippable via [`TaskServer::set_trace_level`].
     tracer: Arc<Tracer>,
-    /// Monotone job-id allocator (ids start at 1; `0` means untracked).
-    /// The id keys the job's `JobStart`/`JobEnd` async trace span and
-    /// its [`JobReport`](crate::JobReport).
-    job_seq: AtomicU64,
     /// Directory for automatic flight-recorder dumps (job panic,
     /// shutdown); `None` disables automatic dumps.
     trace_dump: Option<std::path::PathBuf>,
@@ -692,15 +746,15 @@ impl ServerShared {
     /// contract); `tuning` supplies the retune counter.
     fn stats_with(&self, tuning: &DlbTuning) -> ServerStats {
         let in_flight = self.in_flight.load(Ordering::SeqCst);
-        let in_team = self.in_team.load(Ordering::SeqCst);
+        let in_team = self.worker_side.in_team.load(Ordering::SeqCst);
         let (loops, loop_chunks, loop_iters, loop_range_steals, loop_rebalances) =
             self.loop_stats.snapshot().totals();
         ServerStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            submitted: self.submit_side.submitted.load(Ordering::Relaxed),
+            completed: self.worker_side.completed.load(Ordering::Relaxed),
+            cancelled: self.worker_side.cancelled.load(Ordering::Relaxed),
+            shed: self.worker_side.shed.load(Ordering::Relaxed),
+            rejected: self.submit_side.rejected.load(Ordering::Relaxed),
             in_flight,
             queued: in_flight.saturating_sub(in_team),
             max_in_flight: self.max_in_flight,
@@ -720,10 +774,10 @@ impl ServerShared {
     /// Per-class counter snapshot (see [`TaskServer::class_stats`]).
     fn class_stats_now(&self) -> [QosClassStats; 3] {
         std::array::from_fn(|i| {
-            let cs = &self.class_stats[i];
+            let cs = &self.worker_side.class[i];
             QosClassStats {
                 class: QosClass::ALL[i],
-                submitted: cs.submitted.load(Ordering::Relaxed),
+                submitted: self.submit_side.class_submitted[i].load(Ordering::Relaxed),
                 completed: cs.completed.load(Ordering::Relaxed),
                 cancelled: cs.cancelled.load(Ordering::Relaxed),
                 shed: cs.shed.load(Ordering::Relaxed),
@@ -845,7 +899,7 @@ impl ServerShared {
             "Admission-to-body-start latency of started jobs, by QoS class",
         );
         for (i, qos) in QosClass::ALL.iter().enumerate() {
-            let (counts, sum, count) = self.class_stats[i].queued_hist.render_parts();
+            let (counts, sum, count) = self.worker_side.class[i].queued_hist.render_parts();
             p.histogram_series(
                 "xgomp_job_queued_seconds",
                 "class",
@@ -861,7 +915,7 @@ impl ServerShared {
             "Body run time of started jobs, by QoS class",
         );
         for (i, qos) in QosClass::ALL.iter().enumerate() {
-            let (counts, sum, count) = self.class_stats[i].run_hist.render_parts();
+            let (counts, sum, count) = self.worker_side.class[i].run_hist.render_parts();
             p.histogram_series(
                 "xgomp_job_run_seconds",
                 "class",
@@ -931,7 +985,7 @@ impl ServerShared {
     /// At-the-bound refusal flavor: a paused server frees nothing until
     /// resume; everything else clears like ordinary backpressure.
     fn refuse_full(&self) -> Admit {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.submit_side.rejected.fetch_add(1, Ordering::Relaxed);
         match self.state.load(Ordering::SeqCst) {
             PAUSED => Admit::PausedFull,
             _ => Admit::Busy,
@@ -943,7 +997,7 @@ impl ServerShared {
     /// counted).
     fn try_admit(&self, qos: QosClass) -> Admit {
         if self.state.load(Ordering::SeqCst) == CLOSING {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+            self.submit_side.rejected.fetch_add(1, Ordering::Relaxed);
             return Admit::Closed;
         }
         // Background first claims its class slot, then the shared one —
@@ -969,168 +1023,152 @@ impl ServerShared {
             if qos == QosClass::Background {
                 self.bg_in_flight.fetch_sub(1, Ordering::SeqCst);
             }
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+            self.submit_side.rejected.fetch_add(1, Ordering::Relaxed);
             return Admit::Closed;
         }
         Admit::Ok
     }
 
-    /// Wraps a user closure into the queued job body (unwind-caught,
-    /// completion-accounted, lifecycle-traced) and its result handle.
-    ///
-    /// The wrapper is the **single accounting site**: whether the body
-    /// ran, unwound at a cancellation checkpoint, or was shed before it
-    /// ever started, exactly one of `completed`/`cancelled`/`shed` moves
-    /// — and the drain-side decrements (`in_team`/`in_flight`/class cap)
-    /// always happen here, at drain time, so the shutdown invariant
-    /// "`in_flight == 0` ⇒ rings drained" survives cancellation.
-    /// `JobHandle::cancel` and the deadline sweep only resolve the
-    /// *handle* early; they never touch the counters.
-    fn make_job<R, F>(self: &Arc<Self>, opts: SubmitOptions, f: F) -> (JobHandle<R>, JobBody)
+    /// The one submission path behind every public `*submit*` fn:
+    /// admits `payload` under `opts.qos` (handing it back inside the
+    /// refusal), wraps it into the job's cell and places the cell along
+    /// `route`.
+    fn submit_job<P, R, F>(
+        &self,
+        opts: SubmitOptions,
+        route: Route,
+        payload: P,
+        into_body: impl FnOnce(P) -> F,
+    ) -> Result<JobHandle<R>, SubmitError<P>>
     where
         F: FnOnce(&TaskCtx<'_>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let id = self.job_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let qos = opts.qos;
+        let payload = self.admit_or(opts.qos, payload)?;
+        let id = self.submit_side.job_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let now = clock::now();
-        let deadline_tick = opts.deadline.map(|d| {
+        let deadline = opts.deadline.map_or(u64::MAX, |d| {
             let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
             now.saturating_add(clock::ns_to_ticks(ns))
         });
-        let token = match deadline_tick {
-            Some(tick) => CancelToken::with_deadline_tick(tick),
-            None => CancelToken::new(),
-        };
-        let (handle, state) = JobHandle::new(id, now, token.clone());
-        self.class_stats[qos.index()]
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(tick) = deadline_tick {
-            let st = state.clone();
-            let tok = token.clone();
+        let (handle, job) = JobCell::create(id, now, opts.qos, deadline, into_body(payload));
+        self.submit_side.class_submitted[opts.qos.index()].fetch_add(1, Ordering::Relaxed);
+        if deadline != u64::MAX {
             self.register_deadline(DeadlineEntry {
-                tick,
+                tick: deadline,
                 id,
-                fire: Box::new(move || {
-                    if st.is_done() {
-                        return false; // completed under its deadline
-                    }
-                    let first = !tok.is_fired();
-                    tok.expire();
-                    st.try_shed(JobError::DeadlineExceeded);
-                    first
-                }),
+                job: job.clone(),
             });
         }
-        let shared = self.clone();
-        let body: JobBody = Box::new(move |ctx: &TaskCtx<'_>| {
-            // Start-time gate: claim `QUEUED → RUNNING`, unless a cancel
-            // or the deadline got there first — then the body never
-            // runs and the job is *shed* (the handle may already be
-            // resolved; `try_shed` is a no-op in that case).
-            let t_start = clock::now();
-            let started = match token.poll() {
-                None => state.try_start(),
-                Some(reason) => {
-                    state.try_shed(match reason {
-                        CancelReason::Cancelled => JobError::Cancelled,
-                        CancelReason::DeadlineExceeded => JobError::DeadlineExceeded,
-                    });
-                    false
-                }
-            };
-            let cs = &shared.class_stats[qos.index()];
-            if started {
-                // Lifecycle stamps feed both the flight recorder (one
-                // `JobStart`..`JobEnd` async span per job id) and the
-                // handle's `JobReport`; `state.complete`'s release store
-                // publishes the relaxed stamp stores to `report()`
-                // readers.
-                state.started.store(t_start, Ordering::Relaxed);
-                ctx.trace_emit(
-                    TraceLevel::Lifecycle,
-                    EventKind::JobStart,
-                    0,
-                    id,
-                    state.submitted,
-                );
-                // The token rides the job's root task from here: every
-                // task the body spawns (loop drain tasks included)
-                // inherits a clone, and the checkpoints poll it.
-                ctx.set_cancel_token(token.clone());
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
-                ctx.clear_cancel_token();
-                let result = caught.map_err(|payload| {
-                    // A checkpoint unwind is a *typed* outcome, not a
-                    // panic: no recorder dump, no JobPanic rendering.
-                    match payload.downcast::<CancelUnwind>() {
-                        Ok(cu) => match cu.0 {
-                            CancelReason::Cancelled => JobError::Cancelled,
-                            CancelReason::DeadlineExceeded => JobError::DeadlineExceeded,
-                        },
-                        Err(payload) => JobError::Panicked(JobPanic::from_payload(&*payload)),
-                    }
-                });
-                let t_end = clock::now();
-                state.finished.store(t_end, Ordering::Relaxed);
-                // JobEnd `a` is the outcome code: 0 clean, 1 panicked,
-                // 2 cancelled, 3 deadline-cancelled.
-                let code = match &result {
-                    Ok(_) => 0,
-                    Err(JobError::Panicked(_)) => 1,
-                    Err(JobError::Cancelled) => 2,
-                    Err(JobError::DeadlineExceeded) => 3,
-                };
-                ctx.trace_emit(TraceLevel::Lifecycle, EventKind::JobEnd, code, id, t_start);
-                cs.queued_hist
-                    .record_ticks(t_start.saturating_sub(state.submitted));
-                cs.run_hist.record_ticks(t_end.saturating_sub(t_start));
-                match code {
-                    2 | 3 => {
-                        ctx.trace_emit(TraceLevel::Lifecycle, EventKind::Cancel, code - 2, id, 0);
-                        cs.cancelled.fetch_add(1, Ordering::Relaxed);
-                        shared.cancelled.fetch_add(1, Ordering::SeqCst);
-                    }
-                    _ => {
-                        if code == 1 {
-                            // Dump *before* completing: the joiner's
-                            // `JobPanic` then implies the flight-recorder
-                            // file already exists.
-                            shared.dump_flight_recorder(&format!("panic-job-{id}.trace.json"));
-                        }
-                        cs.completed.fetch_add(1, Ordering::Relaxed);
-                        shared.completed.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                // Completion order matters: the handle is observable
-                // before the drain accounting lets a shutdown (or
-                // pause) finish.
-                state.complete(result);
-            } else {
-                // Shed before starting: the handle resolved when the
-                // shed was claimed (cancel()/sweep/the try_shed above);
-                // only the drain accounting remains. `Shed.a`: 0 cancel,
-                // 1 deadline.
-                let by_deadline = state.phase.load(Ordering::Acquire) == PHASE_SHED_DEADLINE;
-                ctx.trace_emit(
-                    TraceLevel::Lifecycle,
-                    EventKind::Shed,
-                    by_deadline as u32,
-                    id,
-                    state.submitted,
-                );
-                cs.shed.fetch_add(1, Ordering::Relaxed);
-                shared.shed.fetch_add(1, Ordering::SeqCst);
+        self.place(route, job);
+        Ok(handle)
+    }
+
+    /// The wrapper's start gate: claims `QUEUED → RUNNING`, unless a
+    /// cancel or the deadline got there first — then the body never
+    /// runs and the job is *shed* (the handle may already be resolved;
+    /// `try_shed` is a no-op in that case). Stamps and traces the start.
+    fn start_job(&self, ctx: &TaskCtx<'_>, job: &JobHeader, t_start: u64) -> bool {
+        let started = match job.cancel.poll() {
+            None => job.try_start(),
+            Some(reason) => {
+                job.try_shed(job_error(reason));
+                false
             }
-            shared.in_team.fetch_sub(1, Ordering::SeqCst);
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            if qos == QosClass::Background {
-                shared.bg_in_flight.fetch_sub(1, Ordering::SeqCst);
+        };
+        if started {
+            // Lifecycle stamps feed both the flight recorder (one
+            // `JobStart`..`JobEnd` async span per job id) and the
+            // handle's `JobReport`; the completion's release store
+            // publishes the relaxed stamp stores to `report()` readers.
+            job.started.store(t_start, Ordering::Relaxed);
+            ctx.trace_emit(
+                TraceLevel::Lifecycle,
+                EventKind::JobStart,
+                0,
+                job.id,
+                job.submitted,
+            );
+        }
+        started
+    }
+
+    /// Accounts a job whose body ran and ended with `err` (`None`:
+    /// cleanly) — before the outcome is published.
+    fn finish_job(&self, ctx: &TaskCtx<'_>, job: &JobHeader, t_start: u64, err: Option<&JobError>) {
+        let t_end = clock::now();
+        job.finished.store(t_end, Ordering::Relaxed);
+        // JobEnd `a` is the outcome code: 0 clean, 1 panicked,
+        // 2 cancelled, 3 deadline-cancelled.
+        let code = match err {
+            None => 0,
+            Some(JobError::Panicked(_)) => 1,
+            Some(JobError::Cancelled) => 2,
+            Some(JobError::DeadlineExceeded) => 3,
+        };
+        ctx.trace_emit(
+            TraceLevel::Lifecycle,
+            EventKind::JobEnd,
+            code,
+            job.id,
+            t_start,
+        );
+        let ws = &self.worker_side;
+        let cs = &ws.class[job.qos.index()];
+        cs.queued_hist
+            .record_ticks(t_start.saturating_sub(job.submitted), &ws.hist_edges);
+        cs.run_hist
+            .record_ticks(t_end.saturating_sub(t_start), &ws.hist_edges);
+        if code >= 2 {
+            ctx.trace_emit(
+                TraceLevel::Lifecycle,
+                EventKind::Cancel,
+                code - 2,
+                job.id,
+                0,
+            );
+            cs.cancelled.fetch_add(1, Ordering::Relaxed);
+            ws.cancelled.fetch_add(1, Ordering::SeqCst);
+        } else {
+            if code == 1 {
+                // Dump *before* completing: the joiner's `JobPanic`
+                // then implies the flight-recorder file already exists.
+                self.dump_flight_recorder(&format!("panic-job-{}.trace.json", job.id));
             }
-            shared.notify_capacity();
-        });
-        (handle, body)
+            cs.completed.fetch_add(1, Ordering::Relaxed);
+            ws.completed.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Accounts a job shed before starting: the handle resolved when
+    /// the shed was claimed (cancel()/sweep/the start gate); only the
+    /// drain accounting remains. `Shed.a`: 0 cancel, 1 deadline.
+    fn shed_job(&self, ctx: &TaskCtx<'_>, job: &JobHeader) {
+        let by_deadline = job.phase.load(Ordering::Acquire) == PHASE_SHED_DEADLINE;
+        ctx.trace_emit(
+            TraceLevel::Lifecycle,
+            EventKind::Shed,
+            by_deadline as u32,
+            job.id,
+            job.submitted,
+        );
+        let ws = &self.worker_side;
+        ws.class[job.qos.index()]
+            .shed
+            .fetch_add(1, Ordering::Relaxed);
+        ws.shed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The drain-side decrements of a job that ran or was shed — after
+    /// its handle is observable, so a shutdown (or pause) that waits
+    /// for them finds the outcome already published.
+    fn retire_job(&self, qos: QosClass) {
+        self.worker_side.in_team.fetch_sub(1, Ordering::SeqCst);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if qos == QosClass::Background {
+            self.bg_in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        self.notify_capacity();
     }
 
     /// Queues a deadline for the serve loop's sweep.
@@ -1166,11 +1204,10 @@ impl ServerShared {
             self.next_deadline
                 .store(heap.peek().map_or(u64::MAX, |e| e.tick), Ordering::Relaxed);
         }
-        // Fire outside the lock: `fire` takes the job-state mutex when
-        // it sheds, and a joiner's callback must not serialize against
-        // deadline registration.
+        // Fire (and release the entries' references) outside the lock:
+        // deadline registration must not serialize against shedding.
         for e in due {
-            if (e.fire)() {
+            if e.job.header().fire_deadline() {
                 ctx.trace_emit(
                     TraceLevel::Lifecycle,
                     EventKind::DeadlineMiss,
@@ -1200,49 +1237,47 @@ impl ServerShared {
         }
     }
 
-    /// Places an admitted job through the anonymous claim path, rotating
-    /// shards starting at `hint` until it lands. While serving, a full
-    /// ring waits out the (running) drainers exactly as before; from the
-    /// pause onward, submissions divert to the spill — the rings belong
-    /// to the pause drain, and a `try_submit` must never block until
-    /// `resume`. Rings the doorbell for the shard that took it.
-    fn place_anonymous(&self, hint: usize, body: JobBody) {
+    /// Places an admitted job along `route`: anonymous placement
+    /// rotates shards starting at the hint until one takes the job; a
+    /// pinned one pushes into its reserved lane. While serving, a full
+    /// ring waits out the (running) drainers; from the pause onward —
+    /// including a pause that lands mid-placement — the job diverts to
+    /// the spill: the rings belong to the pause drain, no drainer frees
+    /// a slot before resume, and a `try_submit` must never block until
+    /// `resume`. Rings the doorbell for the shard that took the job.
+    fn place(&self, route: Route, mut job: JobRef) {
         // Announce *before* the state check (see `ring_producers`).
         self.announce_ring_producer();
-        if !self.rings_open() {
-            self.retire_ring_producer();
-            self.spill_job(body);
-            return;
-        }
-        let mut ptr = std::ptr::NonNull::from(Box::leak(Box::new(body)));
         let mut backoff = Backoff::new();
         loop {
-            match self.ingress.push_ptr_from(hint, ptr) {
+            if !self.rings_open() {
+                self.retire_ring_producer();
+                self.spill_job(job);
+                return;
+            }
+            let pushed = match route {
+                Route::Anonymous(hint) => self.ingress.push_from(hint, job),
+                Route::Pinned { shard, lane } => self
+                    .ingress
+                    .shard(shard)
+                    .push_reserved(lane, job)
+                    .map(|()| shard),
+            };
+            match pushed {
                 Ok(shard) => {
                     self.retire_ring_producer();
-                    self.submitted.fetch_add(1, Ordering::Relaxed);
+                    self.submit_side.submitted.fetch_add(1, Ordering::Relaxed);
                     // Ring for the shard that actually took the job:
-                    // under fallover it may not be `hint`, and waking
-                    // `hint`'s zone instead would leave the job stranded
-                    // behind another shard's backlog.
+                    // under fallover it may not be the hint, and waking
+                    // the hint's zone instead would leave the job
+                    // stranded behind another shard's backlog.
                     self.ring_doorbell(shard);
                     return;
                 }
                 Err(back) => {
-                    ptr = back;
-                    if !self.rings_open() {
-                        // A pause landed mid-placement: no drainer will
-                        // free a slot before resume — spill instead of
-                        // blocking the caller.
-                        self.retire_ring_producer();
-                        // SAFETY: the rejected pointer is the box we
-                        // leaked above.
-                        let body = *unsafe { Box::from_raw(back.as_ptr()) };
-                        self.spill_job(body);
-                        return;
-                    }
+                    job = back;
                     // Queues full: make sure someone is draining them.
-                    self.ring_doorbell(hint);
+                    self.ring_doorbell(route.shard());
                     backoff.snooze();
                 }
             }
@@ -1267,56 +1302,69 @@ impl ServerShared {
     }
 
     fn announce_ring_producer(&self) {
-        self.ring_producers.fetch_add(1, Ordering::SeqCst);
+        self.submit_side
+            .ring_producers
+            .fetch_add(1, Ordering::SeqCst);
     }
 
     fn retire_ring_producer(&self) {
-        self.ring_producers.fetch_sub(1, Ordering::SeqCst);
+        self.submit_side
+            .ring_producers
+            .fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Queues a job for the *next* generation (submissions that arrive
     /// from the pause onward), or catches a job that lost the ring race
     /// against a pause. Bounded by `max_in_flight`; drained before the
     /// ingress by the first polls of the next (or closing) generation.
-    fn spill_job(&self, body: JobBody) {
+    fn spill_job(&self, job: JobRef) {
         {
             let mut spill = self.spill.lock().unwrap_or_else(PoisonError::into_inner);
-            spill.push_back(body);
+            spill.push_back(job);
             self.spill_nonempty.store(true, Ordering::SeqCst);
         }
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.submit_side.submitted.fetch_add(1, Ordering::Relaxed);
         // Harmless while paused (nobody is parked in a live generation);
         // necessary while closing, where drainers are still running.
         self.ring_doorbell(0);
     }
 
-    /// Moves up to `max` spilled jobs into the team. Runs before the
-    /// ingress drain so spilled jobs cannot be starved by fresh pushes.
+    /// Moves the oldest spilled job, if any, into the team. Runs before
+    /// the ingress drain so spilled jobs cannot be starved by fresh
+    /// pushes.
     ///
     /// Like the ingress drain, spilled jobs are spawned into the
     /// *draining worker's own* queue: a job cross-pushed into a peer's
     /// SPSC queue is stranded if that peer is stalled inside another
     /// job's body, even while this worker idles (see
     /// [`ServiceSource::poll`]).
-    fn drain_spill(&self, max: usize, ctx: &TaskCtx<'_>) -> usize {
+    fn drain_spill(&self, ctx: &TaskCtx<'_>) -> usize {
         if !self.spill_nonempty.load(Ordering::SeqCst) {
             return 0;
         }
-        let batch: Vec<JobBody> = {
+        let job = {
             let mut spill = self.spill.lock().unwrap_or_else(PoisonError::into_inner);
-            let take = max.min(spill.len());
-            let batch = spill.drain(..take).collect();
+            let job = spill.pop_front();
             if spill.is_empty() {
                 self.spill_nonempty.store(false, Ordering::SeqCst);
             }
-            batch
+            job
         };
-        let n = batch.len();
-        for job in batch {
-            self.in_team.fetch_add(1, Ordering::SeqCst);
-            ctx.spawn_boxed_local(job);
+        match job {
+            Some(job) => {
+                self.spawn_job(ctx, job);
+                1
+            }
+            None => 0,
         }
-        n
+    }
+
+    /// Spawns a drained job into the calling worker's own queue (see
+    /// [`ServiceSource::poll`] for why its own).
+    fn spawn_job(&self, ctx: &TaskCtx<'_>, job: JobRef) {
+        self.worker_side.in_team.fetch_add(1, Ordering::SeqCst);
+        let shared = SharedRef(self);
+        ctx.spawn_local(move |ctx| job.run(ctx, shared.get()));
     }
 
     /// Racy "anything queued for the team?" probe (pre-park re-checks).
@@ -1380,6 +1428,105 @@ enum Admit {
     Busy,
     PausedFull,
     Closed,
+}
+
+/// Where [`ServerShared::place`] puts an admitted job.
+#[derive(Clone, Copy)]
+enum Route {
+    /// The anonymous claim path, starting at this shard.
+    Anonymous(usize),
+    /// A registered submitter's reserved lane.
+    Pinned { shard: usize, lane: usize },
+}
+
+impl Route {
+    fn shard(self) -> usize {
+        match self {
+            Route::Anonymous(shard) | Route::Pinned { shard, .. } => shard,
+        }
+    }
+}
+
+/// The server state as a job's task sees it: a plain pointer instead
+/// of an `Arc` clone per job. Sound because the generation's
+/// [`ServiceSource`] — the only spawner of job tasks — holds an
+/// `Arc<ServerShared>` for the whole region, and a region ends only
+/// after every task spawned in it has run (a task discarded unrun at a
+/// poisoned teardown drops its [`JobRef`] without touching the server).
+struct SharedRef(*const ServerShared);
+
+// SAFETY: `ServerShared` is `Sync`; the pointer's validity is argued on
+// the type.
+unsafe impl Send for SharedRef {}
+
+impl SharedRef {
+    fn get(&self) -> &ServerShared {
+        // SAFETY: see the type's docs.
+        unsafe { &*self.0 }
+    }
+}
+
+fn job_error(reason: CancelReason) -> JobError {
+    match reason {
+        CancelReason::Cancelled => JobError::Cancelled,
+        CancelReason::DeadlineExceeded => JobError::DeadlineExceeded,
+    }
+}
+
+/// The job wrapper: runs one job cell on a worker (the `run` entry of
+/// the cell's vtable), unwind-caught, completion-accounted and
+/// lifecycle-traced.
+///
+/// The wrapper is the **single accounting site**: whether the body
+/// ran, unwound at a cancellation checkpoint, or was shed before it
+/// ever started, exactly one of `completed`/`cancelled`/`shed` moves
+/// — and the drain-side decrements (`in_team`/`in_flight`/class cap)
+/// always happen here, at drain time, so the shutdown invariant
+/// "`in_flight == 0` ⇒ rings drained" survives cancellation.
+/// `JobHandle::cancel` and the deadline sweep only resolve the
+/// *handle* early; they never touch the counters.
+///
+/// # Safety
+///
+/// `job` must point into a `JobCell<R, F>`; the caller hands over one
+/// reference.
+pub(crate) unsafe fn run_job<R, F>(
+    job: NonNull<JobHeader>,
+    ctx: &TaskCtx<'_>,
+    shared: &ServerShared,
+) where
+    R: Send + 'static,
+    F: FnOnce(&TaskCtx<'_>) -> R + Send + 'static,
+{
+    // SAFETY: forwarded from the caller.
+    let cell = unsafe { JobCell::<R, F>::from_job(job) };
+    let header = cell.header();
+    let t_start = clock::now();
+    if shared.start_job(ctx, header, t_start) {
+        // SAFETY: we hold the ring's reference: this is the job's run.
+        let f = unsafe { cell.take_body() }.expect("a job's body runs once");
+        // The token rides the job's root task from here: every task the
+        // body spawns (loop drain tasks included) inherits a clone — a
+        // count on this cell — and the checkpoints poll it.
+        ctx.set_cancel_token(CancelToken::from_source(cell.clone()));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
+        ctx.clear_cancel_token();
+        let result = caught.map_err(|payload| {
+            // A checkpoint unwind is a *typed* outcome, not a panic: no
+            // recorder dump, no JobPanic rendering.
+            match payload.downcast::<CancelUnwind>() {
+                Ok(cu) => job_error(cu.0),
+                Err(payload) => JobError::Panicked(JobPanic::from_payload(&*payload)),
+            }
+        });
+        shared.finish_job(ctx, header, t_start, result.as_ref().err());
+        cell.core().complete(result);
+    } else {
+        // SAFETY: as above.
+        drop(unsafe { cell.take_body() });
+        shared.shed_job(ctx, header);
+    }
+    shared.retire_job(header.qos);
 }
 
 impl ServerShared {
@@ -1447,7 +1594,7 @@ impl IngressSource for ServiceSource {
         let shared = &self.shared;
         let mut n = 0;
         if st != DRAINING {
-            n += shared.drain_spill(1, ctx);
+            n += shared.drain_spill(ctx);
         }
         let hint = self
             .shard_of_worker
@@ -1466,10 +1613,9 @@ impl IngressSource for ServiceSource {
         // in the serve/idle loops, which re-poll immediately while
         // injections succeed, so throughput is a claim per job, not a
         // drain cycle per job.
-        n += shared.ingress.drain_into(hint, 1, &mut |job| {
-            shared.in_team.fetch_add(1, Ordering::SeqCst);
-            ctx.spawn_boxed_local(job)
-        });
+        n += shared
+            .ingress
+            .drain_into(hint, 1, &mut |job| shared.spawn_job(ctx, job));
         n
     }
 
@@ -1847,26 +1993,27 @@ impl TaskServer {
             ingress,
             zone_of_shard: zone_of_shard.iter().map(|&z| AtomicUsize::new(z)).collect(),
             doorbell: ParkerCell::new(),
-            state: AtomicU32::new(SERVING),
+            state: CachePadded(AtomicU32::new(SERVING)),
             current_threads: AtomicUsize::new(rt.threads),
             generation: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
-            in_team: AtomicUsize::new(0),
+            in_flight: CachePadded(AtomicUsize::new(0)),
             max_in_flight,
             ls_reserve,
             bg_cap,
-            bg_in_flight: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            class_stats: std::array::from_fn(|_| ClassCounters::new()),
+            bg_in_flight: CachePadded(AtomicUsize::new(0)),
+            submit_side: CachePadded(SubmitCounters::default()),
+            worker_side: CachePadded(WorkerCounters {
+                in_team: AtomicUsize::new(0),
+                completed: AtomicU64::new(0),
+                cancelled: AtomicU64::new(0),
+                shed: AtomicU64::new(0),
+                class: std::array::from_fn(|_| ClassCounters::new()),
+                hist_edges: latency_edges_ticks(),
+            }),
             deadlines: Mutex::new(BinaryHeap::new()),
             next_deadline: AtomicU64::new(u64::MAX),
             spill: Mutex::new(VecDeque::new()),
             spill_nonempty: std::sync::atomic::AtomicBool::new(false),
-            ring_producers: AtomicUsize::new(0),
             bp_waiters: AtomicUsize::new(0),
             bp_lock: Mutex::new(()),
             bp_cv: Condvar::new(),
@@ -1879,7 +2026,6 @@ impl TaskServer {
             loop_balancer,
             auto_select,
             tracer,
-            job_seq: AtomicU64::new(0),
             trace_dump: cfg.trace_dump.clone(),
             obs: ObsCounters::default(),
         });
@@ -1986,11 +2132,8 @@ impl TaskServer {
         F: FnOnce(&TaskCtx<'_>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let f = self.shared.admit_or(opts.qos, f)?;
-        let (handle, body) = self.shared.make_job(opts, f);
-        let hint = submitter_shard_hint(self.shared.ingress.n_shards());
-        self.shared.place_anonymous(hint, body);
-        Ok(handle)
+        let route = Route::Anonymous(submitter_shard_hint(self.shared.ingress.n_shards()));
+        self.shared.submit_job(opts, route, f, |f| f)
     }
 
     /// Blocking submission: parks on the capacity condvar through
@@ -2067,15 +2210,14 @@ impl TaskServer {
         if let Err(e) = space.to_space().validate() {
             return Err(SubmitError::InvalidLoop(body, e));
         }
-        let body = self.shared.admit_or(opts.qos, body)?;
         let site = opts.loop_site;
-        let (handle, job) = self.shared.make_job(opts, move |ctx| match site {
-            Some(id) => ctx.parallel_for_at(id, space, schedule, body),
-            None => ctx.parallel_for(space, schedule, body),
-        });
-        let hint = submitter_shard_hint(self.shared.ingress.n_shards());
-        self.shared.place_anonymous(hint, job);
-        Ok(handle)
+        let route = Route::Anonymous(submitter_shard_hint(self.shared.ingress.n_shards()));
+        self.shared.submit_job(opts, route, body, move |body| {
+            move |ctx: &TaskCtx<'_>| match site {
+                Some(id) => ctx.parallel_for_at(id, space, schedule, body),
+                None => ctx.parallel_for(space, schedule, body),
+            }
+        })
     }
 
     /// Blocking variant of [`try_submit_for`](Self::try_submit_for):
@@ -2780,8 +2922,8 @@ fn serve_loop(
             // count until its push completes, so reading 0 here means
             // every such push is already visible to `looks_empty`.
             DRAINING
-                if shared.ring_producers.load(Ordering::SeqCst) == 0
-                    && shared.in_team.load(Ordering::SeqCst) == 0
+                if shared.submit_side.ring_producers.load(Ordering::SeqCst) == 0
+                    && shared.worker_side.in_team.load(Ordering::SeqCst) == 0
                     && shared.ingress.looks_empty() =>
             {
                 break
@@ -2879,13 +3021,14 @@ impl SubmitterHandle {
         F: FnOnce(&TaskCtx<'_>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let f = self.shared.admit_or(opts.qos, f)?;
-        let (handle, body) = self.shared.make_job(opts, f);
-        match self.lane {
-            Some(lane) => self.place_pinned(lane, body),
-            None => self.shared.place_anonymous(self.shard, body),
-        }
-        Ok(handle)
+        let route = match self.lane {
+            Some(lane) => Route::Pinned {
+                shard: self.shard,
+                lane,
+            },
+            None => Route::Anonymous(self.shard),
+        };
+        self.shared.submit_job(opts, route, f, |f| f)
     }
 
     /// Blocking submission through the pinned lane; parks through
@@ -2910,46 +3053,6 @@ impl SubmitterHandle {
     {
         let shared = self.shared.clone();
         submit_blocking(&shared, opts.qos, f, |f| self.try_submit_with(opts, f))
-    }
-
-    /// Places an admitted job into the reserved lane, waiting out a full
-    /// ring. Liveness: every queued job rang a doorbell, and workers
-    /// never park while the ingress looks non-empty, so a full lane is
-    /// always being drained — except from a pause onward, where the job
-    /// diverts to the server's spill (the rings belong to the pause
-    /// drain) instead of blocking until resume.
-    fn place_pinned(&self, lane: usize, body: JobBody) {
-        // Announce *before* the state check (see `ring_producers`).
-        self.shared.announce_ring_producer();
-        if !self.shared.rings_open() {
-            self.shared.retire_ring_producer();
-            self.shared.spill_job(body);
-            return;
-        }
-        let shard = self.shared.ingress.shard(self.shard);
-        let mut backoff = Backoff::new();
-        let mut ptr = std::ptr::NonNull::from(Box::leak(Box::new(body)));
-        loop {
-            match shard.push_ptr_reserved(lane, ptr) {
-                Ok(()) => break,
-                Err(back) => {
-                    ptr = back;
-                    if !self.shared.rings_open() {
-                        self.shared.retire_ring_producer();
-                        // SAFETY: the rejected pointer is the box we
-                        // leaked above.
-                        let body = *unsafe { Box::from_raw(back.as_ptr()) };
-                        self.shared.spill_job(body);
-                        return;
-                    }
-                    self.shared.ring_doorbell(self.shard);
-                    backoff.snooze();
-                }
-            }
-        }
-        self.shared.retire_ring_producer();
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.ring_doorbell(self.shard);
     }
 }
 
@@ -2985,6 +3088,27 @@ fn submitter_shard_hint(n_shards: usize) -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+
+    /// Tick edges file every sample into the bucket the seconds-based
+    /// scan would pick, right at and around each edge.
+    #[test]
+    fn tick_edges_bucket_like_seconds() {
+        let edges = latency_edges_ticks();
+        let by_secs = |t: u64| {
+            let secs = clock::ticks_to_secs(t);
+            LATENCY_BUCKETS_SECS.iter().position(|&b| secs <= b)
+        };
+        for &e in &edges {
+            for t in e.saturating_sub(2)..=e + 2 {
+                let hist = LatencyHist::new();
+                hist.record_ticks(t, &edges);
+                let (cumulative, _, count) = hist.render_parts();
+                assert_eq!(count, 1);
+                let bucket = cumulative.iter().position(|&c| c == 1);
+                assert_eq!(bucket, by_secs(t), "tick {t}");
+            }
+        }
+    }
 
     #[test]
     fn jobs_roundtrip_results() {

@@ -42,7 +42,7 @@ pub use xgomp_core::{
     RegionOutput, Runtime, RuntimeConfig, SchedulerKind, Scope, SpaceKind, StatsSnapshot, TaskCtx,
     TaskSizeHistogram, TeamStats, TraceEvent, TraceLevel, TraceSnapshot, TraceStream,
     TraceStreamConfig, TraceStreamStats, Tracer, AUTO_CONFIRM_WINDOWS, AUTO_FALLBACK,
-    AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER, DEFAULT_TILE,
+    AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER, DEFAULT_TILE, INLINE_BODY_BYTES,
 };
 pub use xgomp_service::{
     CancelReason, CancelToken, JobError, JobHandle, JobPanic, JobReport, JoinTimeout, QosClass,
