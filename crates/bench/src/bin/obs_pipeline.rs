@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use xgomp_bench::harness::fmt_count;
 use xgomp_core::{chrome_json_from_dir, LoopSchedule, RuntimeConfig, TraceLevel};
+use xgomp_profiling::DrainSummary;
 use xgomp_service::{ServerConfig, TaskServer};
 
 struct Opts {
@@ -82,18 +83,6 @@ fn spin(n: u64) -> u64 {
     std::hint::black_box(x)
 }
 
-/// First `"key":<number>` occurrence in a JSONL line.
-fn json_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat).map(|i| i + pat.len()).unwrap_or(0);
-    line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
-}
-
 fn main() {
     let opts = parse_opts();
     let _ = std::fs::remove_dir_all(&opts.dir);
@@ -150,18 +139,9 @@ fn main() {
         .collect();
     segments.sort();
     let newest = std::fs::read_to_string(segments.last().expect("segments exist")).expect("read");
-    let summary = newest
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("{\"drain\""))
-        .expect("final drain summary");
-    let drained = json_u64(summary, "drained");
-    let dropped = json_u64(summary, "dropped");
-    let rotations = json_u64(summary, "rotations");
-    let emitted_sum: u64 = summary
-        .match_indices("\"emitted\":")
-        .map(|(i, _)| json_u64(&summary[i..], "emitted"))
-        .sum();
+    let summary = DrainSummary::last_in(&newest).expect("final drain summary");
+    let (drained, dropped, rotations) = (summary.drained, summary.dropped, summary.rotations);
+    let emitted_sum = summary.emitted();
     assert_eq!(dropped, 0, "collector must keep up under load");
     assert!(rotations >= 3, "expected ≥ 3 rotations, saw {rotations}");
     assert_eq!(drained + dropped, emitted_sum, "on-disk conservation");

@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 use xgomp_bench::harness::fmt_count;
 use xgomp_bench::Table;
 use xgomp_core::{chrome_json_from_dir, LoopSchedule, RuntimeConfig, TraceLevel};
+use xgomp_profiling::DrainSummary;
 use xgomp_service::{ServerConfig, TaskServer, STABLE_METRIC_FAMILIES};
 
 struct Opts {
@@ -198,19 +199,6 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     body.to_string()
 }
 
-/// First `"key":<number>` occurrence in a JSONL line (the stream's drain
-/// summaries put the cumulative totals before the per-worker rows).
-fn json_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat).map(|i| i + pat.len()).unwrap_or(0);
-    line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
-}
-
 /// The streaming-drain leg: the same workload at `Lifecycle`, with the
 /// continuous pipeline on — collector tailing the rings into small
 /// rolling segments (forcing rotations) and the `/metrics` listener
@@ -302,18 +290,9 @@ fn run_stream_leg(
         .collect();
     segments.sort();
     let newest = std::fs::read_to_string(segments.last().expect("segments exist")).expect("read");
-    let summary = newest
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("{\"drain\""))
-        .expect("final drain summary");
-    let drained = json_u64(summary, "drained");
-    let dropped = json_u64(summary, "dropped");
-    let rotations = json_u64(summary, "rotations");
-    let emitted_sum: u64 = summary
-        .match_indices("\"emitted\":")
-        .map(|(i, _)| json_u64(&summary[i..], "emitted"))
-        .sum();
+    let summary = DrainSummary::last_in(&newest).expect("final drain summary");
+    let (drained, dropped, rotations) = (summary.drained, summary.dropped, summary.rotations);
+    let emitted_sum = summary.emitted();
     assert_eq!(
         dropped, 0,
         "collector must keep up with the rings at Lifecycle load"

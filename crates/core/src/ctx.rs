@@ -103,12 +103,6 @@ impl<'t> TaskCtx<'t> {
         self.spawn_impl_placed(TaskBody::new(f), 0, Some(self.worker));
     }
 
-    /// [`spawn_local`](Self::spawn_local) for an already-boxed body.
-    #[inline]
-    pub fn spawn_boxed_local(&self, body: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>) {
-        self.spawn_local(body);
-    }
-
     /// Like [`run_pending`](Self::run_pending), but when the scheduler
     /// is empty it also polls the team's ingress source (if any) and
     /// runs whatever that injected. This is the helping step a job must

@@ -1,8 +1,8 @@
 //! The inter-socket loop rebalancer — the **coarse** level of two-level
 //! dynamic loop balancing.
 //!
-//! PR 4's per-zone range pools balance *within* one loop reactively: a
-//! worker whose zone pool runs dry steal-splits a remote pool. That fine
+//! A loop's per-zone [`PaneSet`]s balance *within* the loop reactively:
+//! a worker whose zone runs dry steal-splits a remote set. That fine
 //! level leaves two gaps, both closed here in the spirit of the
 //! two-level DLB literature (Mohammed et al.) with LB4OMP-style measured
 //! cost driving the coarse decisions:
@@ -10,9 +10,9 @@
 //! 1. **Proactivity** — a zone about to starve waits passively until it
 //!    is dry, then pays a cold cross-zone steal on the critical path.
 //!    The balancer watches per-zone *drain rates* (claims-per-tick EWMAs
-//!    sampled from each [`RangePool`](xgomp_xqueue::RangePool)) and
-//!    migrates a back-half range from the slowest-to-finish zone into a
-//!    starved zone's *inbox pool* **before** it runs dry.
+//!    sampled from each zone's sets) and migrates a back-half range from
+//!    the slowest-to-finish zone into a starved zone's *inbox set*
+//!    **before** it runs dry.
 //! 2. **Concurrent loops** — every live `parallel_for` registers its
 //!    [`LoopCore`] here, so one probe arbitrates iteration space across
 //!    *all* loops sharing the team, not just the loop the probing worker
@@ -28,16 +28,21 @@
 //! chunk boundaries and from the DLB engine's idle hook — one clock read
 //! plus one relaxed load when the interval has not elapsed.
 //!
-//! ## Migration safety
+//! ## Migration
 //!
-//! A migration is two linearizable steps (back-half steal from the rich
-//! pool, deposit into the starved inbox) with a window where the range is
-//! in *neither* pool. Loop-drain tasks must not conclude "the iteration
-//! space is fully claimed" during that window, so each [`LoopCore`]
-//! carries a seqlock-style epoch: odd while a migration is in flight,
-//! bumped again when it lands. The drain exit path re-validates its
-//! all-pools-empty scan against an even, unchanged epoch — exactly a
-//! seqlock read — making lost-iteration exits impossible.
+//! There is one migration path, two linearizable steps on pane sets:
+//! [`PaneSet::steal_half`] takes the back half of the rich zone's main
+//! set, and [`PaneSet::deposit_if_empty`] lands it in the starved zone's
+//! empty inbox. A refused deposit gives the range back to the source,
+//! again through `deposit_if_empty`, once the source empties.
+//!
+//! Between the steal and the landing deposit the range is in *neither*
+//! set. Loop-drain tasks must not conclude "the iteration space is fully
+//! claimed" during that window, so each [`LoopCore`] carries a
+//! seqlock-style epoch: odd while a migration is in flight, bumped again
+//! when it lands. The drain exit path re-validates its all-pools-empty
+//! scan against an even, unchanged epoch — exactly a seqlock read —
+//! making lost-iteration exits impossible.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -257,9 +262,9 @@ impl LoopBalancer {
     /// `dst` is the starved zone's inbox, and this prober is the *only*
     /// writer of inboxes (single-prober gate), so the deposit can only
     /// fail transiently (a claimer-side refill holding the seq word, or
-    /// a stale emptiness read). Unlike the flat-pool era there is no
-    /// `unsteal` — pane adjacency is ill-defined across panes — so the
-    /// fallback re-homes the range into whichever side empties first;
+    /// a stale emptiness read). A range cannot be glued back onto the
+    /// source's back edge — pane adjacency is ill-defined across panes —
+    /// so the fallback re-homes it into whichever side empties first;
     /// drain tasks keep claiming throughout, so one of the two deposits
     /// lands in bounded time. The seqlock epoch is held odd by the
     /// caller for the whole window.

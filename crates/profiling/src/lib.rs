@@ -42,7 +42,8 @@ pub use loopstats::{
     LOOP_SCHEDULE_NAMES, LOOP_SPACE_KINDS, LOOP_SPACE_KIND_NAMES,
 };
 pub use stream::{
-    chrome_json_from_dir, chrome_json_from_jsonl, TraceStream, TraceStreamConfig, TraceStreamStats,
+    chrome_json_from_dir, chrome_json_from_jsonl, DrainSummary, TraceStream, TraceStreamConfig,
+    TraceStreamStats,
 };
 pub use timeline::{render_task_counts, render_timeline, state_summary, StateSummaryRow};
 pub use trace::{PromText, TraceEvent, TraceLevel, TraceSnapshot, Tracer};

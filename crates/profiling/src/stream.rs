@@ -35,7 +35,7 @@
 //!   the collector's pseudo-track (the collector thread never emits
 //!   into a worker's SPSC ring);
 //! * `{"drain":{…,"workers":[…]}}` — the cumulative accounting
-//!   summary described above.
+//!   summary described above, read back by [`DrainSummary::parse`].
 //!
 //! [`chrome_json_from_jsonl`] (and the directory-walking
 //! [`chrome_json_from_dir`]) convert any concatenation of segments —
@@ -358,6 +358,96 @@ impl TraceStream {
     }
 }
 
+/// One per-worker row of a `drain` summary line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrainWorkerRow {
+    /// Worker (ring) index.
+    pub worker: u64,
+    /// The stream cursor's position in the ring.
+    pub position: u64,
+    /// Records this cursor wrote to disk.
+    pub drained: u64,
+    /// Records this cursor lost to ring overwrite.
+    pub dropped: u64,
+    /// Records the ring's writer emitted.
+    pub emitted: u64,
+}
+
+/// A parsed `{"drain":…}` summary line: the stream totals plus one row
+/// per worker ring, as [`TraceStream`] writes them after each non-empty
+/// drain cycle and at [`finish`](TraceStream::finish).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DrainSummary {
+    /// Drain cycles run.
+    pub cycle: u64,
+    /// Segment rotations performed.
+    pub rotations: u64,
+    /// Records written to disk across all segments.
+    pub drained: u64,
+    /// Records the stream's cursors lost to ring overwrite.
+    pub dropped: u64,
+    /// Per-worker cursor accounting.
+    pub workers: Vec<DrainWorkerRow>,
+}
+
+impl DrainSummary {
+    /// Parses one `drain` summary line. Every key is required: a missing
+    /// or non-integer one is an [`InvalidData`](io::ErrorKind::InvalidData)
+    /// error, never a `0` that would let `drained + dropped == emitted`
+    /// hold as `0 == 0`.
+    pub fn parse(line: &str) -> io::Result<Self> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let count = |v: &Value, key: &str| match serde::field(v, key) {
+            Ok(Value::UInt(n)) => Ok(*n),
+            Ok(other) => Err(invalid(format!(
+                "drain summary `{key}` is not a count: {other:?}"
+            ))),
+            Err(e) => Err(invalid(format!("drain summary: {e}"))),
+        };
+        let v: Value = serde_json::from_str(line).map_err(|e| invalid(e.to_string()))?;
+        let d = serde::field(&v, "drain").map_err(|e| invalid(e.to_string()))?;
+        let rows = match serde::field(d, "workers") {
+            Ok(Value::Seq(rows)) => rows,
+            other => return Err(invalid(format!("drain summary `workers`: {other:?}"))),
+        };
+        let workers = rows
+            .iter()
+            .map(|w| {
+                Ok(DrainWorkerRow {
+                    worker: count(w, "worker")?,
+                    position: count(w, "position")?,
+                    drained: count(w, "drained")?,
+                    dropped: count(w, "dropped")?,
+                    emitted: count(w, "emitted")?,
+                })
+            })
+            .collect::<io::Result<_>>()?;
+        Ok(DrainSummary {
+            cycle: count(d, "cycle")?,
+            rotations: count(d, "rotations")?,
+            drained: count(d, "drained")?,
+            dropped: count(d, "dropped")?,
+            workers,
+        })
+    }
+
+    /// Parses the last summary line of `segment` (one segment's text):
+    /// the newest segment's last summary carries the final totals.
+    pub fn last_in(segment: &str) -> io::Result<Self> {
+        let line = segment
+            .lines()
+            .rev()
+            .find(|l| l.starts_with("{\"drain\""))
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no drain summary"))?;
+        Self::parse(line)
+    }
+
+    /// Records emitted across every worker ring.
+    pub fn emitted(&self) -> u64 {
+        self.workers.iter().map(|w| w.emitted).sum()
+    }
+}
+
 fn segment_path_of(dir: &Path, epoch: u64, seq: u64) -> PathBuf {
     dir.join(format!("trace-{epoch}-{seq:06}.jsonl"))
 }
@@ -509,26 +599,13 @@ mod tests {
         // The final summary of the last segment carries the exact
         // conservation identity per worker.
         let last = fs::read_to_string(dir.join(names.last().unwrap())).unwrap();
-        let summary = last
-            .lines()
-            .rev()
-            .find(|l| l.starts_with("{\"drain\""))
-            .expect("final summary present");
-        let v: Value = serde_json::from_str(summary).unwrap();
-        let d = serde::field(&v, "drain").unwrap();
-        let workers = match serde::field(d, "workers").unwrap() {
-            Value::Seq(w) => w.clone(),
-            other => panic!("workers must be a list, got {other:?}"),
-        };
-        assert_eq!(workers.len(), 2);
-        for w in &workers {
-            let position = num_u64(serde::field(w, "position").unwrap());
-            let drained = num_u64(serde::field(w, "drained").unwrap());
-            let dropped = num_u64(serde::field(w, "dropped").unwrap());
-            let emitted = num_u64(serde::field(w, "emitted").unwrap());
-            assert_eq!(position, drained + dropped);
-            assert_eq!(position, emitted, "quiesced stream reaches the head");
+        let summary = DrainSummary::last_in(&last).expect("final summary present");
+        assert_eq!(summary.workers.len(), 2);
+        for w in &summary.workers {
+            assert_eq!(w.position, w.drained + w.dropped);
+            assert_eq!(w.position, w.emitted, "quiesced stream reaches the head");
         }
+        assert_eq!(summary.drained, stats.drained);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -548,6 +625,36 @@ mod tests {
         assert_eq!(stats.drained + stats.dropped, 100);
         assert!(stats.dropped > 0);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_summary_parses_totals_and_rows() {
+        let line = concat!(
+            "{\"drain\":{\"cycle\":4,\"rotations\":1,\"drained\":9,\"dropped\":2,\"workers\":[",
+            "{\"worker\":0,\"position\":5,\"drained\":4,\"dropped\":1,\"emitted\":5},",
+            "{\"worker\":1,\"position\":6,\"drained\":5,\"dropped\":1,\"emitted\":6}]}}",
+        );
+        let sum = DrainSummary::parse(line).unwrap();
+        assert_eq!((sum.cycle, sum.rotations), (4, 1));
+        assert_eq!((sum.drained, sum.dropped), (9, 2));
+        assert_eq!(sum.workers.len(), 2);
+        assert_eq!(sum.workers[1].position, 6);
+        assert_eq!(sum.drained + sum.dropped, sum.emitted());
+        let text =
+            format!("{{\"segment\":{{\"epoch\":1,\"seq\":0,\"cycles_per_ns\":1.0}}}}\n{line}\n");
+        assert_eq!(DrainSummary::last_in(&text).unwrap(), sum);
+    }
+
+    #[test]
+    fn drain_summary_without_emitted_is_rejected() {
+        let line = concat!(
+            "{\"drain\":{\"cycle\":1,\"rotations\":0,\"drained\":0,\"dropped\":0,\"workers\":[",
+            "{\"worker\":0,\"position\":0,\"drained\":0,\"dropped\":0}]}}",
+        );
+        let err = DrainSummary::parse(line).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("emitted"), "{err}");
+        assert!(DrainSummary::last_in("{\"segment\":{}}\n").is_err());
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! thread-hash lane choice whose collisions let two submitters contend
 //! on one lane while others sat empty.
 //!
-//! Jobs travel as [`JobRef`]s — one thin pointer to the job's cell; a
-//! drained job is spawned as a task by whichever idle worker claimed the
-//! drain.
+//! Jobs travel as [`JobRef`]s — one thin pointer to the job's cell. One
+//! drain claim hands out at most one job, which the idle worker that won
+//! the claim spawns as a task after releasing it.
 //!
 //! ## Generations
 //!
@@ -55,9 +55,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use xgomp_xqueue::{BQueue, Backoff};
 
 use crate::handle::{JobHeader, JobRef};
-
-/// Jobs one drain claim takes at most: the on-stack hand-off buffer.
-const DRAIN_MAX: usize = 32;
 
 struct Lane {
     q: BQueue<JobHeader>,
@@ -221,45 +218,30 @@ impl IngressShard {
         Err(unsafe { JobRef::from_raw(ptr) })
     }
 
-    /// Drains up to `max` jobs (at most `DRAIN_MAX` per claim) if the
-    /// drain claim is free; returns the drained jobs' count after
-    /// feeding each to `f`. Jobs are handed out *after* the claim is
-    /// released so `f` (which may execute a job inline on queue
-    /// overflow) never blocks other drainers; they wait in a buffer on
-    /// the stack in between.
-    pub(crate) fn try_drain(&self, max: usize, f: &mut dyn FnMut(JobRef)) -> usize {
+    /// Takes one job if the drain claim is free: the first non-empty
+    /// lane, in lane order, gives it up. The claim is released before
+    /// the job is returned, so the caller's spawn (which may execute the
+    /// job inline on queue overflow) never blocks other drainers. `None`
+    /// when the claim is held or every lane is empty.
+    pub(crate) fn try_pop(&self) -> Option<JobRef> {
         if self
             .draining
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
-            return 0;
+            return None;
         }
-        let max = max.min(DRAIN_MAX);
-        let mut batch: [Option<JobRef>; DRAIN_MAX] = [const { None }; DRAIN_MAX];
-        let mut n = 0;
-        'lanes: for lane in self.lanes.iter() {
-            while n < max {
-                // SAFETY: the `draining` claim makes this thread the
-                // unique consumer of every lane in the shard.
-                match unsafe { lane.q.dequeue() } {
-                    Some(p) => {
-                        lane.drained.fetch_add(1, Ordering::Relaxed);
-                        // SAFETY: every queued pointer came from
-                        // `JobRef::into_raw` in a push path.
-                        batch[n] = Some(unsafe { JobRef::from_raw(p) });
-                        n += 1;
-                    }
-                    None => continue 'lanes,
-                }
-            }
-            break;
-        }
+        let job = self.lanes.iter().find_map(|lane| {
+            // SAFETY: the `draining` claim makes this thread the unique
+            // consumer of every lane in the shard.
+            let p = unsafe { lane.q.dequeue() }?;
+            lane.drained.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: every queued pointer came from `JobRef::into_raw`
+            // in a push path.
+            Some(unsafe { JobRef::from_raw(p) })
+        });
         self.draining.store(false, Ordering::Release);
-        for job in batch.into_iter().flatten() {
-            f(job);
-        }
-        n
+        job
     }
 
     /// Whether every lane currently looks empty (racy hint).
@@ -357,22 +339,13 @@ impl ShardedIngress {
         Err(job)
     }
 
-    /// Drains up to `max` jobs, preferring shard `hint` (the caller's
-    /// zone) and helping the other shards only when it is empty — work
-    /// conservation without giving up locality.
-    pub(crate) fn drain_into(&self, hint: usize, max: usize, f: &mut dyn FnMut(JobRef)) -> usize {
-        let own = self.shards[hint % self.shards.len()].try_drain(max, f);
-        if own > 0 {
-            return own;
-        }
-        let mut got = 0;
-        for i in 1..self.shards.len() {
-            got += self.shards[(hint + i) % self.shards.len()].try_drain(max - got, f);
-            if got >= max {
-                break;
-            }
-        }
-        got
+    /// Takes one job, preferring shard `hint` (the caller's zone) and
+    /// falling over to the other shards, in order, only when its claim is
+    /// held or its lanes are empty — work conservation without giving up
+    /// locality.
+    pub(crate) fn pop(&self, hint: usize) -> Option<JobRef> {
+        let n = self.shards.len();
+        (0..n).find_map(|i| self.shards[(hint + i) % n].try_pop())
     }
 
     /// Racy emptiness hint across all shards.
@@ -421,8 +394,10 @@ mod tests {
         }
         assert!(!shard.looks_empty());
         let mut drained: Vec<JobRef> = Vec::new();
-        let n = shard.try_drain(16, &mut |j| drained.push(j));
-        assert_eq!(n, 5);
+        while let Some(j) = shard.try_pop() {
+            drained.push(j);
+        }
+        assert_eq!(drained.len(), 5);
         assert!(shard.looks_empty());
         let (pushed, got): (u64, u64) = shard
             .lane_counters()
@@ -431,17 +406,6 @@ mod tests {
         assert_eq!((pushed, got), (5, 5));
         drop(drained); // dropping undrained bodies must not leak or run them
         assert_eq!(hits.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn one_claim_drains_at_most_one_buffer() {
-        let shard = IngressShard::new(2, 64);
-        for i in 0..(DRAIN_MAX as u64 + 5) {
-            shard.try_push(job(i)).ok().unwrap();
-        }
-        assert_eq!(shard.try_drain(usize::MAX, &mut drop), DRAIN_MAX);
-        assert_eq!(shard.try_drain(usize::MAX, &mut drop), 5);
-        assert!(shard.looks_empty());
     }
 
     #[test]
@@ -483,9 +447,11 @@ mod tests {
     #[test]
     fn drain_claim_is_exclusive() {
         let shard = IngressShard::new(1, 8);
+        shard.try_push(job(0)).ok().unwrap();
         shard.draining.store(true, Ordering::Release);
-        assert_eq!(shard.try_drain(8, &mut |_| {}), 0);
+        assert!(shard.try_pop().is_none(), "a held claim hands out nothing");
         shard.draining.store(false, Ordering::Release);
+        assert!(shard.try_pop().is_some());
     }
 
     #[test]
@@ -511,7 +477,9 @@ mod tests {
         // Release: the lane rejoins the anonymous pool.
         shard.release_lane(lane);
         let mut n = 0;
-        while shard.try_drain(16, &mut |_j| n += 1) > 0 {}
+        while shard.try_pop().is_some() {
+            n += 1;
+        }
         assert_eq!(n, 3);
         shard.try_push(counter_job(hits)).ok().unwrap();
     }
@@ -538,9 +506,14 @@ mod tests {
                 .unwrap();
         }
         assert!(!ingress.shards[1].looks_empty());
-        // A drainer hinted at shard 1 still collects everything.
-        let mut n = 0;
-        while ingress.drain_into(1, 64, &mut |_j| n += 1) > 0 {}
+        // A drainer hinted at shard 1 empties its own shard first, then
+        // still collects everything.
+        assert!(ingress.pop(1).is_some() && ingress.pop(1).is_some());
+        assert!(ingress.shards[1].looks_empty() && !ingress.shards[0].looks_empty());
+        let mut n = 2;
+        while ingress.pop(1).is_some() {
+            n += 1;
+        }
         assert_eq!(n, 4);
     }
 
@@ -564,9 +537,9 @@ mod tests {
             let drained = drained.clone();
             let stop = stop.clone();
             std::thread::spawn(move || loop {
-                let got = shard.try_drain(32, &mut |_job| {});
-                drained.fetch_add(got as u64, Ordering::Relaxed);
-                if got == 0 {
+                if shard.try_pop().is_some() {
+                    drained.fetch_add(1, Ordering::Relaxed);
+                } else {
                     if stop.load(Ordering::Acquire) && shard.looks_empty() {
                         return;
                     }
@@ -632,7 +605,9 @@ mod tests {
         stop.store(true, Ordering::Release);
         drainer.join().unwrap();
         let mut rest = 0;
-        while shard.try_drain(1024, &mut |_job| rest += 1) > 0 {}
+        while shard.try_pop().is_some() {
+            rest += 1;
+        }
         let total = ANON_THREADS * ANON_JOBS + ROUNDS * PER_ROUND;
         assert_eq!(
             drained.load(Ordering::Relaxed) + rest,
@@ -661,9 +636,9 @@ mod tests {
                 let drained = drained.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || loop {
-                    let got = ingress.drain_into(hint, 32, &mut |_job| {});
-                    drained.fetch_add(got as u64, Ordering::Relaxed);
-                    if got == 0 {
+                    if ingress.pop(hint).is_some() {
+                        drained.fetch_add(1, Ordering::Relaxed);
+                    } else {
                         if stop.load(Ordering::Acquire) && ingress.looks_empty() {
                             return;
                         }
@@ -703,7 +678,9 @@ mod tests {
         // Post-join sweep for anything left between the emptiness check
         // and the last push.
         let mut rest = 0;
-        while ingress.drain_into(0, 1024, &mut |_job| rest += 1) > 0 {}
+        while ingress.pop(0).is_some() {
+            rest += 1;
+        }
         assert_eq!(
             drained.load(Ordering::Relaxed) + rest,
             PER_THREAD * THREADS,

@@ -20,8 +20,8 @@
 //!        │        │                    lanes of lock-less B-queues —
 //!        │ doorbell: wake one          registered submitters own a
 //!        ▼ parked worker, zone-local   reserved SPSC lane, claim-free)
-//!  idle workers + master drain their zone's shard in batches and
-//!  spawn each job into the XQueue lattice  ──▶  normal DLB scheduling
+//!  idle workers + master take one job per drain claim from their
+//!  zone's shard and spawn it into the XQueue lattice  ──▶  normal DLB scheduling
 //!        │
 //!        ▼
 //!  job body runs (unwind-caught) ──▶ JobHandle completes
@@ -350,7 +350,9 @@ pub struct ServerConfig {
     pub lanes_per_shard: usize,
     /// Slots per lane (rounded up to a power of two by the B-queue).
     pub lane_capacity: usize,
-    /// Max jobs a drainer moves into the scheduler per poll.
+    /// Sizes the serve loop's scheduler batch: between ingress polls
+    /// the master runs up to `4 × max(drain_batch, 8)` queued tasks.
+    /// Ingress drains themselves always take one job per claim.
     pub drain_batch: usize,
     /// Completed tasks per adaptation window of the Table-IV controller;
     /// `0` disables online adaptation.
@@ -455,7 +457,8 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-poll drain batch (≥ 1).
+    /// Sets [`drain_batch`](Self::drain_batch) (≥ 1), which sizes the
+    /// serve loop's scheduler batch, `4 × max(n, 8)` tasks.
     pub fn drain_batch(mut self, n: usize) -> Self {
         self.drain_batch = n.max(1);
         self

@@ -1602,20 +1602,20 @@ impl IngressSource for ServiceSource {
             .copied()
             .unwrap_or(0);
         // Take ONE job and spawn it into this worker's own queue: it is
-        // popped by this worker's very next scheduler visit. Batched
-        // cross-pushed drains (the previous design) could strand a job
-        // in a stalled peer's SPSC queue — or, batched-to-self, behind
-        // an earlier job of the same batch that blocks indefinitely —
-        // while other workers idle. One-at-a-time self-service keeps
-        // every not-yet-claimed job in the shared MPSC ingress, where
-        // any idle worker can claim it: an admitted job can only wait
-        // on a *running* job, never on a stalled queue. The poll sits
-        // in the serve/idle loops, which re-poll immediately while
-        // injections succeed, so throughput is a claim per job, not a
-        // drain cycle per job.
-        n += shared
-            .ingress
-            .drain_into(hint, 1, &mut |job| shared.spawn_job(ctx, job));
+        // popped by this worker's very next scheduler visit. A batch
+        // pushed to peers could strand a job in a stalled peer's SPSC
+        // queue — or, batched to self, behind an earlier job of the same
+        // batch that blocks indefinitely — while other workers idle.
+        // One-at-a-time self-service keeps every not-yet-claimed job in
+        // the shared MPSC ingress, where any idle worker can claim it:
+        // an admitted job can only wait on a *running* job, never on a
+        // stalled queue. The poll sits in the serve/idle loops, which
+        // re-poll immediately while injections succeed, so throughput is
+        // a claim per job, not a drain cycle per job.
+        if let Some(job) = shared.ingress.pop(hint) {
+            shared.spawn_job(ctx, job);
+            n += 1;
+        }
         n
     }
 

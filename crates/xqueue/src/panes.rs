@@ -546,4 +546,92 @@ mod tests {
         });
         assert_eq!(total, LEN, "claimed + drained covers the share exactly");
     }
+
+    /// The loop balancer's migration on pane sets: one migrator steals
+    /// the back half of `src` and deposits it into the empty inbox
+    /// `dst`, giving the range back to `src` when the deposit is
+    /// refused, while claimers and stealers drain both sets. Small panes
+    /// make refills race the deposits too. Every other round skips the
+    /// inbox emptiness check, as a stale read would, so deposits also
+    /// take the refusal and give-back path. The workers start after the
+    /// first (uncontended) migration lands, so every later one races
+    /// them however the host schedules the migrator.
+    #[test]
+    fn migrations_racing_claims_conserve_iterations() {
+        use std::sync::atomic::AtomicBool;
+        const N: u64 = 400_000;
+        let src = &PaneSet::with_pane_units(0, N, 512);
+        let dst = &PaneSet::with_pane_units(0, 0, 64);
+        let (started, done) = (&AtomicBool::new(false), &AtomicBool::new(false));
+        let (mut out, mut landed, mut given_back) = (0u64, 0u64, 0u64);
+        let total: u64 = std::thread::scope(|s| {
+            // One migrator (the balancer's single-depositor contract).
+            // Its last deposit is visible before `done` flips, so the
+            // claimers' exit condition cannot strand an in-flight range.
+            let migrator = {
+                let (out, landed, given_back) = (&mut out, &mut landed, &mut given_back);
+                s.spawn(move || {
+                    let mut round = 0u64;
+                    while !src.is_definitely_empty() {
+                        round += 1;
+                        if round % 2 == 1 || dst.is_empty() {
+                            if let Some((lo, hi)) = src.steal_half() {
+                                *out += hi - lo;
+                                loop {
+                                    if dst.deposit_if_empty(lo, hi) {
+                                        *landed += hi - lo;
+                                        started.store(true, Ordering::SeqCst);
+                                        break;
+                                    }
+                                    if src.deposit_if_empty(lo, hi) {
+                                        *given_back += hi - lo;
+                                        break;
+                                    }
+                                    std::hint::spin_loop();
+                                }
+                            }
+                        }
+                        std::hint::spin_loop();
+                    }
+                    done.store(true, Ordering::SeqCst);
+                })
+            };
+            let workers: Vec<_> = (0..6)
+                .map(|t| {
+                    s.spawn(move || {
+                        while !started.load(Ordering::SeqCst) && !done.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        let mut got = 0u64;
+                        loop {
+                            let r = match t % 3 {
+                                0 => src.claim(17).or_else(|| dst.steal_half()),
+                                1 => dst.claim(31).or_else(|| src.claim(31)),
+                                _ => dst.claim(7).or_else(|| src.steal_half()),
+                            };
+                            match r {
+                                Some((lo, hi)) => got += hi - lo,
+                                None => {
+                                    if done.load(Ordering::SeqCst)
+                                        && src.is_definitely_empty()
+                                        && dst.is_definitely_empty()
+                                    {
+                                        break;
+                                    }
+                                    std::hint::spin_loop();
+                                }
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            migrator.join().unwrap();
+            workers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(total, N, "migration lost or duplicated iterations");
+        assert!(src.is_definitely_empty() && dst.is_definitely_empty());
+        assert!(landed > 0, "the first migration lands");
+        assert_eq!(out, landed + given_back, "every stolen range lands once");
+    }
 }

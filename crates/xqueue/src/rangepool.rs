@@ -19,6 +19,22 @@
 //! units by the [`panes`](crate::panes) layer, which chains pools
 //! without giving up the one-CAS-per-chunk property.
 //!
+//! ## Migration
+//!
+//! A pool has three ways to move units besides front claims: a
+//! back-half [`steal_half`](RangePool::steal_half), a
+//! [`deposit_if_empty`](RangePool::deposit_if_empty) that only lands in
+//! an empty pool (the pool stays one contiguous block), and a
+//! cancellation [`drain_all`](RangePool::drain_all). Inter-socket
+//! migration is built from the first two one layer up, on
+//! [`PaneSet`](crate::PaneSet)s: the loop balancer steals the back half
+//! of the rich zone's set with `PaneSet::steal_half`, deposits it into
+//! the starved zone's empty inbox with `PaneSet::deposit_if_empty`, and
+//! when that deposit is refused gives the range back to the source with
+//! a deposit there once the source empties. Each step is linearizable,
+//! so a range is always in exactly one pool or held by the migrator,
+//! never in two.
+//!
 //! ## Rate telemetry
 //!
 //! Beyond the range word, each pool carries *claim-rate telemetry*: a
@@ -199,71 +215,6 @@ impl RangePool {
         }
     }
 
-    /// Migrates the upper half of this pool into `dst` — the coarse
-    /// (inter-socket) rebalance primitive: one back-half steal from the
-    /// rich pool, one deposit into the starved one. Returns the number of
-    /// iterations moved, `None` when either side made the migration moot
-    /// (`self` empty, or `dst` non-empty — deposits only land in empty
-    /// pools, see [`deposit_if_empty`](Self::deposit_if_empty)).
-    ///
-    /// Caller contract: the caller should be `dst`'s only *depositor*
-    /// (claims and steals by other threads are fine). The balancer's
-    /// single-prober gate guarantees this; a racing depositor is still
-    /// safe — the stolen range is then handed back to `self`'s back edge
-    /// (or, if other steals moved it, parked in whichever of the two
-    /// pools empties first), never lost.
-    pub fn steal_half_into(&self, dst: &RangePool) -> Option<u32> {
-        if !dst.is_empty() {
-            return None;
-        }
-        let (lo, hi) = self.steal_half()?;
-        loop {
-            if dst.deposit_if_empty(lo, hi) {
-                return Some(hi - lo);
-            }
-            // `dst` filled between the check and the deposit (a foreign
-            // depositor): un-steal by re-extending our own back edge, or
-            // park the range in whichever pool empties first.
-            if self.unsteal(lo, hi) || self.deposit_if_empty(lo, hi) {
-                return None;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Re-extends the back of the pool with `[lo, hi)` iff the pool's
-    /// current `hi` is exactly `lo` (the range is still adjacent — no
-    /// other steal moved the back edge since we took it), or the pool
-    /// emptied meanwhile (any range is depositable then). Returns
-    /// whether the range was taken back; on `false` the caller still
-    /// owns it. The undo half of a two-pool migration — callers that
-    /// account migrations at each linearization point (the loop
-    /// balancer) bracket [`steal_half`](Self::steal_half) /
-    /// [`deposit_if_empty`](Self::deposit_if_empty) with this as the
-    /// give-back path.
-    pub fn unsteal(&self, lo: u32, hi: u32) -> bool {
-        let mut word = self.word.load(Ordering::Acquire);
-        loop {
-            let (cur_lo, cur_hi) = unpack(word);
-            if cur_lo >= cur_hi {
-                // Emptied meanwhile: any range is depositable.
-                return self.deposit_if_empty(lo, hi);
-            }
-            if cur_hi != lo {
-                return false;
-            }
-            match self.word.compare_exchange_weak(
-                word,
-                pack(cur_lo, hi),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(w) => word = w,
-            }
-        }
-    }
-
     /// Deposits `[lo, hi)` into the pool **iff it is currently empty**
     /// (a thief sharing the tail of a stolen range with its own zone).
     /// Returns whether the deposit landed; on `false` the caller still
@@ -290,9 +241,8 @@ impl RangePool {
     }
 
     /// Empties the pool in one CAS and returns the drained range — the
-    /// cancellation primitive, range-returning form (callers that map
-    /// pool offsets back into a larger logical space need the bounds,
-    /// not just the count). Unlike [`claim`](Self::claim) the drained
+    /// cancellation primitive (callers that map pool offsets back into a
+    /// larger logical space need the bounds, not just the count). Unlike [`claim`](Self::claim) the drained
     /// iterations stay out of the `claimed` counter, so the rate EWMA
     /// keeps describing *executed* throughput only. Linearizable against
     /// concurrent claims, steals and deposits: every drained iteration
@@ -315,12 +265,6 @@ impl RangePool {
                 Err(w) => word = w,
             }
         }
-    }
-
-    /// [`drain_all`](Self::drain_all), counting form: empties the pool
-    /// in one CAS and returns how many iterations were abandoned.
-    pub fn abandon(&self) -> u32 {
-        self.drain_all().map_or(0, |(lo, hi)| hi - lo)
     }
 }
 
@@ -354,12 +298,16 @@ mod tests {
     fn abandon_empties_and_counts_exactly_once() {
         let p = RangePool::new(0, 10);
         assert_eq!(p.claim(3), Some((0, 3)));
-        assert_eq!(p.abandon(), 7, "abandons everything still pooled");
+        assert_eq!(
+            p.drain_all(),
+            Some((3, 10)),
+            "drains everything still pooled"
+        );
         assert!(p.is_empty());
-        assert_eq!(p.abandon(), 0, "second abandon finds nothing");
-        assert_eq!(p.claimed(), 3, "abandoned iters don't count as claimed");
-        assert!(p.deposit_if_empty(20, 25), "pool is reusable after abandon");
-        assert_eq!(p.abandon(), 5);
+        assert_eq!(p.drain_all(), None, "second drain finds nothing");
+        assert_eq!(p.claimed(), 3, "drained units are not counted as claimed");
+        assert!(p.deposit_if_empty(20, 25), "the pool is reusable");
+        assert_eq!(p.drain_all(), Some((20, 25)));
     }
 
     #[test]
@@ -376,40 +324,6 @@ mod tests {
     fn zero_max_claims_one() {
         let p = RangePool::new(0, 2);
         assert_eq!(p.claim(0), Some((0, 1)), "max is clamped to ≥ 1");
-    }
-
-    #[test]
-    fn steal_half_into_migrates_into_an_empty_pool() {
-        let src = RangePool::new(0, 100);
-        let dst = RangePool::empty();
-        assert_eq!(src.steal_half_into(&dst), Some(50));
-        assert_eq!(src.remaining(), 50);
-        assert_eq!(dst.remaining(), 50);
-        assert_eq!(dst.claim(100), Some((50, 100)));
-        // Non-empty destination: migration refused, source untouched.
-        let busy = RangePool::new(0, 10);
-        assert_eq!(src.steal_half_into(&busy), None);
-        assert_eq!(src.remaining(), 50);
-        // Empty source: nothing to migrate.
-        let dry = RangePool::empty();
-        assert_eq!(dry.steal_half_into(&dst), None);
-    }
-
-    #[test]
-    fn unsteal_restores_an_adjacent_back_range() {
-        let p = RangePool::new(0, 10);
-        let (lo, hi) = p.steal_half().unwrap();
-        assert!(p.unsteal(lo, hi), "still adjacent");
-        assert_eq!(p.remaining(), 10);
-        // After a second steal moved the back edge, the first range is no
-        // longer adjacent.
-        let first = p.steal_half().unwrap();
-        let _second = p.steal_half().unwrap();
-        assert!(!p.unsteal(first.0, first.1));
-        // But an emptied pool takes any range back.
-        while p.claim(100).is_some() {}
-        assert!(p.unsteal(first.0, first.1));
-        assert_eq!(p.remaining(), first.1 - first.0);
     }
 
     #[test]
@@ -463,57 +377,5 @@ mod tests {
         });
         assert_eq!(total, N as u64, "every iteration claimed exactly once");
         assert!(pool.is_empty());
-    }
-
-    #[test]
-    fn migrations_racing_claims_conserve_iterations() {
-        const N: u32 = 400_000;
-        let src = Arc::new(RangePool::new(0, N));
-        let dst = Arc::new(RangePool::empty());
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let total: u64 = std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            // One migrator (the single-depositor contract) re-splitting
-            // the rich pool into the starved one whenever it empties.
-            // Its last deposit is visible before `done` flips, so the
-            // claimers' exit condition cannot strand an in-flight range.
-            {
-                let (src, dst, done) = (src.clone(), dst.clone(), done.clone());
-                handles.push(s.spawn(move || {
-                    while !src.is_empty() {
-                        src.steal_half_into(&dst);
-                        std::hint::spin_loop();
-                    }
-                    done.store(true, Ordering::SeqCst);
-                    0u64
-                }));
-            }
-            for t in 0..6 {
-                let (src, dst, done) = (src.clone(), dst.clone(), done.clone());
-                handles.push(s.spawn(move || {
-                    let mut got = 0u64;
-                    loop {
-                        let r = if t % 2 == 0 {
-                            dst.claim(31).or_else(|| src.claim(31))
-                        } else {
-                            src.claim(17).or_else(|| dst.steal_half())
-                        };
-                        match r {
-                            Some((lo, hi)) => got += (hi - lo) as u64,
-                            None => {
-                                if done.load(Ordering::SeqCst) && src.is_empty() && dst.is_empty() {
-                                    break;
-                                }
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                    got
-                }));
-            }
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        assert_eq!(total, N as u64, "migration lost or duplicated iterations");
-        assert!(src.is_empty() && dst.is_empty());
     }
 }

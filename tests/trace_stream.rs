@@ -8,6 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use xgomp::profiling::DrainSummary;
 use xgomp::service::{ServerConfig, TaskServer, STABLE_METRIC_FAMILIES};
 use xgomp::{chrome_json_from_dir, LoopSchedule, RuntimeConfig, TraceLevel};
 
@@ -31,29 +32,11 @@ fn read_segments(dir: &Path) -> Vec<String> {
         .collect()
 }
 
-/// First `"key":<number>` occurrence in a JSONL line.
-fn json_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat).map(|i| i + pat.len()).unwrap_or(0);
-    line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
-}
-
 /// The final cumulative drain summary of the stream (last `drain` line
 /// of the newest segment).
-fn final_summary(segments: &[String]) -> String {
-    segments
-        .last()
-        .expect("at least one segment")
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("{\"drain\""))
+fn final_summary(segments: &[String]) -> DrainSummary {
+    DrainSummary::last_in(segments.last().expect("at least one segment"))
         .expect("final drain summary present")
-        .to_string()
 }
 
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -116,33 +99,26 @@ fn rolling_drain_conserves_across_rotations_and_reshape() {
     let segments = read_segments(&dir);
     assert!(segments.len() > 3, "tiny segments must have rotated");
     let summary = final_summary(&segments);
-    let rotations = json_u64(&summary, "rotations");
-    let drained = json_u64(&summary, "drained");
-    let dropped = json_u64(&summary, "dropped");
+    let (rotations, drained, dropped) = (summary.rotations, summary.drained, summary.dropped);
     assert!(rotations >= 3, "expected ≥ 3 rotations, saw {rotations}");
 
     // Per-worker conservation: `position == drained + dropped` for every
     // cursor, and — the writers being quiesced by shutdown — position
     // reaches the ring's emitted count exactly.
-    let workers_at = summary.find("\"workers\":[").expect("workers rows");
-    let rows: Vec<&str> = summary[workers_at..]
-        .split("{\"worker\":")
-        .skip(1)
-        .collect();
-    assert!(rows.len() >= 3, "reshaped server has ≥ 3 worker rings");
-    let mut emitted_sum = 0u64;
-    for row in &rows {
-        let position = json_u64(row, "position");
-        let w_drained = json_u64(row, "drained");
-        let w_dropped = json_u64(row, "dropped");
-        let emitted = json_u64(row, "emitted");
-        assert_eq!(position, w_drained + w_dropped, "cursor identity");
-        assert_eq!(position, emitted, "quiesced stream reaches every head");
-        emitted_sum += emitted;
+    assert!(
+        summary.workers.len() >= 3,
+        "reshaped server has ≥ 3 worker rings"
+    );
+    for row in &summary.workers {
+        assert_eq!(row.position, row.drained + row.dropped, "cursor identity");
+        assert_eq!(
+            row.position, row.emitted,
+            "quiesced stream reaches every head"
+        );
     }
     assert_eq!(
         drained + dropped,
-        emitted_sum,
+        summary.emitted(),
         "global conservation across all rolled segments"
     );
 
