@@ -159,8 +159,9 @@ impl CancelToken {
         self.flag().cancel();
     }
 
-    /// Fires the token with [`CancelReason::DeadlineExceeded`] (used by
-    /// the serve-loop deadline sweep on already-running jobs).
+    /// Fires the token with [`CancelReason::DeadlineExceeded`] now,
+    /// ahead of its deadline tick ([`poll`](Self::poll) does the same
+    /// once the tick passes).
     pub fn expire(&self) {
         self.flag().expire();
     }
@@ -203,7 +204,7 @@ impl std::fmt::Debug for CancelToken {
 /// The unwind payload raised at a cancellation checkpoint. Panic
 /// isolation (`isolate_panics` teams — the task server always) catches
 /// it like any panic; the service layer downcasts it to complete the
-/// job's handle with a typed error instead of a [`JobPanic`]
+/// job's handle with a typed error instead of a `JobPanic`
 /// (crate `xgomp-service`) message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CancelUnwind(pub CancelReason);

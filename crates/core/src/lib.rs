@@ -38,8 +38,8 @@
 //!
 //! ## Crate map
 //!
-//! * [`task`]-level machinery: `task`, `alloc` (malloc vs multi-level);
-//! * scheduling: [`sched`] (GOMP / LOMP / XQueue backends);
+//! * `task`-level machinery: `task`, `alloc` (malloc vs multi-level);
+//! * scheduling: `sched` (GOMP / LOMP / XQueue backends);
 //! * termination: [`barrier`] (centralized / atomic-count / tree);
 //! * load balancing: [`dlb`] (messaging protocol, NA-RP, NA-WS);
 //! * data parallelism: [`loops`] (`parallel_for`, NUMA-aware

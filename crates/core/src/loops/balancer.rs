@@ -63,7 +63,7 @@ const STARVE_RATIO: f64 = 2.0;
 const MIN_MIGRATE: u64 = 16;
 
 /// Per-team (or, under a task server, per-*server*) inter-socket loop
-/// rebalancer; see the [module docs](self).
+/// rebalancer; see the `loops::balancer` module docs.
 ///
 /// The balancer is passive state plus a probe: it owns no thread.
 /// Whichever worker's gate check finds the interval elapsed runs the

@@ -11,10 +11,10 @@
 //! ## Architecture
 //!
 //! * The logical [`IterSpace`] (1D range, 2D rectangle, triangular —
-//!   see the [`space`] module) lowers to flat u64 *scheduling units*,
+//!   see the `space` module) lowers to flat u64 *scheduling units*,
 //!   blocked across NUMA zones proportionally to each zone's worker
 //!   count; each zone's share is seeded into the `main`
-//!   [`PaneSet`](xgomp_xqueue::PaneSet) of its [`ZonePool`], which waves
+//!   [`PaneSet`] of its `ZonePool`, which waves
 //!   it through ≤u32 panes drained by one packed atomic word — claims
 //!   and steals cost one CAS per *chunk*, never per iteration, plus one
 //!   CAS per pane refill. Each zone also carries an initially empty
@@ -38,7 +38,7 @@
 //!   registers with the team's [`LoopBalancer`], which watches per-zone
 //!   claim-rate EWMAs across *all* live loops and migrates back-half
 //!   ranges from the slowest zone into starved zones' inboxes *before*
-//!   they run dry — see the [`balancer`] module docs for the policy and
+//!   they run dry — see the `balancer` module docs for the policy and
 //!   the seqlock protocol that keeps migrations invisible to the drain
 //!   tasks' exit scan.
 //! * The loop completes through the ordinary structured-spawn path: the
@@ -63,7 +63,7 @@
 //! | [`Auto`](LoopSchedule::Auto) | online per-loop-site selection over the portfolio (server-owned [`AutoSelector`]) | repeated loop sites with unknown best schedule |
 //!
 //! The TSS/Factoring/WF/AWF family is a pure *chunk-size policy layer*
-//! ([`portfolio`] module) over the same pane-set claim path — see its
+//! (`portfolio` module) over the same pane-set claim path — see its
 //! docs for the closed-form series and the `Auto` selection policy.
 
 mod balancer;

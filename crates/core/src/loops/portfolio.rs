@@ -362,7 +362,7 @@ pub struct AutoSiteStatus {
 }
 
 /// The server-owned online schedule selector behind
-/// [`LoopSchedule::Auto`] (see the [module docs](self) for the policy).
+/// [`LoopSchedule::Auto`] (see the `loops::portfolio` module docs for the policy).
 /// One instance rides across generations; `parallel_for` consults it
 /// through the team when a loop is submitted as `Auto`.
 #[derive(Debug, Default)]

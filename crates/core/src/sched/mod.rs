@@ -35,7 +35,7 @@ pub enum SchedulerKind {
     /// Per-worker lock-free work-stealing deques (LOMP model).
     Lomp,
     /// XQueue lattice with static round-robin balancing; pass a
-    /// [`DlbConfig`] through [`SchedulerKind::build`] to enable NA-RP or
+    /// [`DlbConfig`](crate::DlbConfig) through `SchedulerKind::build` to enable NA-RP or
     /// NA-WS on top.
     XQueue,
 }

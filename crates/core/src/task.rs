@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use crate::cancel::CancelToken;
 use crate::ctx::TaskCtx;
 
-/// Bytes of closure a [`TaskBody`] stores without boxing.
+/// Bytes of closure a `TaskBody` stores without boxing.
 pub const INLINE_BODY_BYTES: usize = 48;
 
 type InlineBuf = MaybeUninit<[u64; INLINE_BODY_BYTES / 8]>;

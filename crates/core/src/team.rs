@@ -736,7 +736,7 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
 /// A team of workers that stays alive across parallel regions.
 ///
 /// Construction spawns `threads - 1` OS threads which immediately park on
-/// a [start gate](StartGate). Each [`run`](Self::run) call stamps a new
+/// a start gate. Each [`run`](Self::run) call stamps a new
 /// *generation*: fresh barrier/scheduler/allocator state is published
 /// through the gate, the parked workers pick it up, run the region's
 /// scheduling loop to quiescence, and park again — no thread is ever
@@ -744,7 +744,7 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
 /// exactly as in [`Runtime::parallel`].
 ///
 /// This is the execution engine behind `xgomp-service`'s persistent task
-/// server; [`run_with`](Self::run_with) additionally wires in the
+/// server; `run_with` additionally wires in the
 /// ingress/sampling/tuning hook set.
 pub struct PersistentTeam {
     cfg: RuntimeConfig,
@@ -826,7 +826,7 @@ impl PersistentTeam {
 
     /// Runs one region with an ingress source polled by idle workers and
     /// optional live sampling / DLB tuning hooks. Task-body panics are
-    /// isolated (see [`TeamExtras::isolate_panics`]): they re-raise at
+    /// isolated (see `TeamExtras::isolate_panics`): they re-raise at
     /// the parent's next `taskwait` instead of poisoning the team.
     ///
     /// # Panics

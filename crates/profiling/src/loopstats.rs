@@ -58,7 +58,7 @@ struct SpaceKindCounters {
 }
 
 /// Persistent per-schedule and per-space-kind loop counters (see the
-/// [module docs](self)). All iteration counts are u64 end-to-end — a
+/// `loopstats` module docs). All iteration counts are u64 end-to-end — a
 /// completed >u32::MAX-iteration waved loop folds in without truncation.
 #[derive(Debug, Default)]
 pub struct LoopTelemetry {

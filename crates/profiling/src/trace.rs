@@ -4,7 +4,7 @@
 //! The §V [`PerfLog`](crate::PerfLog) answers "where did the cycles
 //! go" per worker, in aggregate. This module answers *when*: every
 //! worker owns a bounded, overwrite-oldest
-//! [`EventRing`](xgomp_xqueue::EventRing) into which instrumented
+//! [`EventRing`] into which instrumented
 //! runtime sites emit fixed-size binary records (park/wake, steals,
 //! balancer migrations, job lifecycle spans). A [`Tracer`] owns the
 //! rings across team generations, gates every site behind a
@@ -94,8 +94,8 @@ struct RingState {
 /// one for its whole life, so rings (and their retained windows)
 /// survive `pause()`/`resume_with()` reshaping — a resize simply grows
 /// the ring list. Workers cache their ring `Arc` at generation start
-/// and emit with zero shared state; draining ([`snapshot`]
-/// (Self::snapshot)) happens under one mutex, off every hot path.
+/// and emit with zero shared state; draining
+/// ([`snapshot`](Self::snapshot)) happens under one mutex, off every hot path.
 pub struct Tracer {
     level: AtomicU8,
     ring_capacity: usize,
@@ -171,7 +171,7 @@ impl Tracer {
 
     /// Clones of every materialized ring `Arc`, in worker order. An
     /// external reader (the streaming drain collector) keeps its *own*
-    /// [`RingCursor`](xgomp_xqueue::RingCursor) per ring and drains
+    /// [`RingCursor`] per ring and drains
     /// through these handles without holding the tracer's lock during
     /// I/O — independent cursors each see the retained window, so the
     /// stream and [`snapshot`](Self::snapshot) never steal each other's
@@ -527,8 +527,8 @@ impl PromText {
     /// `counts`, which hold *cumulative* observation counts per bucket
     /// (`counts[i]` = observations ≤ `buckets[i]`); a `+Inf` bucket,
     /// `_sum` and `_count` lines complete the series. Emit the
-    /// `# HELP`/`# TYPE` header once via [`histogram_header`]
-    /// (Self::histogram_header) before the first labeled series.
+    /// `# HELP`/`# TYPE` header once via
+    /// [`histogram_header`](Self::histogram_header) before the first labeled series.
     #[allow(clippy::too_many_arguments)]
     pub fn histogram_series(
         &mut self,

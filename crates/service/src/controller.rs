@@ -129,7 +129,7 @@ impl AdaptiveController {
     /// Called from the master loop at every scheduling opportunity; when
     /// a full window of tasks has completed since the last check,
     /// re-applies Table IV to the window's modal-decade task size (see
-    /// the [module docs](self) — the mean is only used to position the
+    /// the `controller` module docs — the mean is only used to position the
     /// representative within the modal decade). A changed
     /// recommendation is published only once `confirm_windows`
     /// consecutive windows agree on it. Returns the newly published

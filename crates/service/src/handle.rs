@@ -15,11 +15,22 @@
 //! One reference-counted [`JobCell`] holds everything a job needs: the
 //! phase word, the latency stamps, the result slot, the cancellation
 //! flag and the user closure. Its first field is a [`JobHeader`] with a
-//! vtable, so the ingress lanes, the spill queue, the deadline heap and
-//! the job's task all carry it as one thin type-erased pointer
-//! ([`JobRef`]), and the `CancelToken`s the job's tasks inherit are
-//! `Arc`s over the same cell — sharing its count, not allocating their
-//! own.
+//! vtable, so the ingress lanes, the spill queue and the job's task all
+//! carry it as one thin type-erased pointer ([`JobRef`]), and the
+//! `CancelToken`s the job's tasks inherit are `Arc`s over the same cell
+//! — sharing its count, not allocating their own.
+//!
+//! ## Deadlines
+//!
+//! A deadline lives in the cell's cancellation flag and is enforced
+//! wherever the job is observed, with no timer of its own: a running
+//! body expires at its next checkpoint (the flag's poll compares the
+//! clock), the worker's start gate sheds a late queued job, and the
+//! handle's observers (`is_done`, `try_join`, `report`, the joins) shed
+//! a still-queued late job themselves — a waiting joiner never parks
+//! past the job's deadline. So a joiner sees the shed even while every
+//! worker is busy or the server is paused, and nothing but the ring and
+//! the handle ever holds the cell.
 //!
 //! ## The wake protocol
 //!
@@ -43,17 +54,17 @@ use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use xgomp_core::{CancelFlag, CancelSource, TaskCtx};
+use xgomp_core::{CancelFlag, CancelReason, CancelSource, TaskCtx};
 
 use crate::server::ServerShared;
 use crate::QosClass;
 
 /// Job phases (`JobHeader::phase`). `QUEUED → RUNNING` is claimed by the
 /// job wrapper when the body starts; `QUEUED → SHED_*` by whichever of
-/// `JobHandle::cancel` / the deadline sweep / the wrapper's own
-/// start-time check gets there first — exactly one transition out of
-/// `QUEUED` ever wins, which is what makes the shed/cancelled/completed
-/// partition exact.
+/// `JobHandle::cancel` / a handle observer past the deadline / the
+/// wrapper's own start-time check gets there first — exactly one
+/// transition out of `QUEUED` ever wins, which is what makes the
+/// shed/cancelled/completed partition exact.
 pub(crate) const PHASE_QUEUED: u32 = 0;
 pub(crate) const PHASE_RUNNING: u32 = 1;
 pub(crate) const PHASE_SHED_CANCEL: u32 = 2;
@@ -219,8 +230,9 @@ pub(crate) struct JobVTable {
 }
 
 /// The type-independent prefix of every job cell: everything the
-/// type-erased paths (ingress, deadline sweep, the wrapper's start gate)
-/// read or resolve without knowing the closure or result type.
+/// type-erased paths (ingress, the wrapper's start gate, the handle's
+/// deadline shed) read or resolve without knowing the closure or result
+/// type.
 #[repr(C)]
 pub(crate) struct JobHeader {
     vtable: &'static JobVTable,
@@ -278,8 +290,10 @@ impl JobHeader {
     }
 
     /// Parks the calling thread until the job is done or `deadline`
-    /// passes; returns whether it is done.
+    /// passes; returns whether it is done. Never parks past a queued
+    /// job's own deadline: the waiter sheds the job itself then.
     fn wait(&self, deadline: Option<Instant>) -> bool {
+        self.shed_if_expired();
         if self.is_done() {
             return true;
         }
@@ -295,29 +309,39 @@ impl JobHeader {
             return true;
         }
         loop {
-            match deadline {
-                None => std::thread::park(),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return match self.wake.compare_exchange(
-                            JOINER,
-                            0,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        ) {
-                            Ok(_) => {
-                                // SAFETY: withdrawn: a completer that
-                                // comes later sees no `JOINER`.
-                                unsafe { *self.joiner.get() = None };
-                                false
-                            }
-                            // `DONE` won the race.
-                            Err(_) => true,
-                        };
+            let mut nap = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if let Some(left) = self.queued_time_left() {
+                if left.is_zero() {
+                    // Our own shed publishes through the registration
+                    // above, like any completer's.
+                    self.shed_if_expired();
+                    if self.is_done() {
+                        return true;
                     }
-                    std::thread::park_timeout(d - now);
+                    continue; // the job started first
                 }
+                nap = Some(nap.map_or(left, |n| n.min(left)));
+            }
+            match nap {
+                None => std::thread::park(),
+                Some(n) if n.is_zero() => {
+                    return match self.wake.compare_exchange(
+                        JOINER,
+                        0,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    ) {
+                        Ok(_) => {
+                            // SAFETY: withdrawn: a completer that comes
+                            // later sees no `JOINER`.
+                            unsafe { *self.joiner.get() = None };
+                            false
+                        }
+                        // `DONE` won the race.
+                        Err(_) => true,
+                    };
+                }
+                Some(n) => std::thread::park_timeout(n),
             }
             if self.is_done() {
                 return true;
@@ -361,17 +385,29 @@ impl JobHeader {
         true
     }
 
-    /// The deadline sweep's action on this job: sheds it while queued,
-    /// fires its flag while running. Returns whether this call was the
-    /// first to act (one `DeadlineMiss` event per missed job).
-    pub(crate) fn fire_deadline(&self) -> bool {
-        if self.is_done() {
-            return false; // completed under its deadline
+    /// Time left before a still-queued job's deadline, rounded up to
+    /// whole nanoseconds; `None` when the job has no deadline or has
+    /// left `QUEUED` (a running job expires at its own checkpoints).
+    fn queued_time_left(&self) -> Option<Duration> {
+        let deadline = self.cancel.deadline_tick()?;
+        if self.phase.load(Ordering::Acquire) != PHASE_QUEUED {
+            return None;
         }
-        let first = !self.cancel.is_fired();
-        self.cancel.expire();
-        self.try_shed(JobError::DeadlineExceeded);
-        first
+        let ticks = deadline.saturating_sub(xgomp_core::clock::now());
+        let ns = (ticks as f64 / xgomp_core::clock::cycles_per_ns()).ceil();
+        Some(Duration::from_nanos(ns as u64))
+    }
+
+    /// Sheds a still-queued job whose deadline has passed: the handle's
+    /// observers call this, so the shed does not wait for a worker to
+    /// reach the job. A no-op without a deadline, before it, or once
+    /// the job has started or resolved.
+    fn shed_if_expired(&self) {
+        if self.phase.load(Ordering::Acquire) == PHASE_QUEUED
+            && self.cancel.poll() == Some(CancelReason::DeadlineExceeded)
+        {
+            self.try_shed(JobError::DeadlineExceeded);
+        }
     }
 }
 
@@ -521,8 +557,7 @@ where
 }
 
 /// An owning, type-erased, one-word reference to a job cell: what the
-/// ingress lanes, the spill queue, the deadline heap and the job's task
-/// carry.
+/// ingress lanes, the spill queue and the job's task carry.
 pub(crate) struct JobRef(NonNull<JobHeader>);
 
 // SAFETY: the cell is `Send + Sync` (see `JobCell`).
@@ -623,9 +658,12 @@ impl<R> JobHandle<R> {
         unsafe { &self.core.as_ref().header }
     }
 
-    /// Whether the job has completed (lock-free probe).
+    /// Whether the job has completed (lock-free probe; sheds a queued
+    /// job whose deadline has passed, see the module docs).
     pub fn is_done(&self) -> bool {
-        self.header().is_done()
+        let header = self.header();
+        header.shed_if_expired();
+        header.is_done()
     }
 
     /// Server-unique id of this job — the flight recorder keys the job's

@@ -75,6 +75,10 @@ pub struct IngressShard {
     lanes: Box<[Lane]>,
     /// Consumer-side claim: holder is the unique consumer of all lanes.
     draining: AtomicBool,
+    /// First lane the next drain scans. Only the `draining` claim
+    /// holder touches it, so relaxed loads and stores suffice (the
+    /// claim's acquire/release orders them).
+    drain_cursor: AtomicUsize,
     /// Rotates the first lane probed by producers, spreading contention.
     next_lane: AtomicUsize,
     /// Anonymous pushes that found a lane's producer claim held — the
@@ -95,6 +99,7 @@ impl IngressShard {
                 })
                 .collect(),
             draining: AtomicBool::new(false),
+            drain_cursor: AtomicUsize::new(0),
             next_lane: AtomicUsize::new(0),
             claim_conflicts: AtomicU64::new(0),
         }
@@ -219,7 +224,9 @@ impl IngressShard {
     }
 
     /// Takes one job if the drain claim is free: the first non-empty
-    /// lane, in lane order, gives it up. The claim is released before
+    /// lane at or after the drain cursor gives it up, and the cursor
+    /// moves past it, so every non-empty lane is served within
+    /// `n_lanes` pops however busy the others are. The claim is released before
     /// the job is returned, so the caller's spawn (which may execute the
     /// job inline on queue overflow) never blocks other drainers. `None`
     /// when the claim is held or every lane is empty.
@@ -231,11 +238,15 @@ impl IngressShard {
         {
             return None;
         }
-        let job = self.lanes.iter().find_map(|lane| {
+        let n = self.lanes.len();
+        let start = self.drain_cursor.load(Ordering::Relaxed);
+        let job = (start..start + n).find_map(|i| {
+            let lane = &self.lanes[i % n];
             // SAFETY: the `draining` claim makes this thread the unique
             // consumer of every lane in the shard.
             let p = unsafe { lane.q.dequeue() }?;
             lane.drained.fetch_add(1, Ordering::Relaxed);
+            self.drain_cursor.store((i + 1) % n, Ordering::Relaxed);
             // SAFETY: every queued pointer came from `JobRef::into_raw`
             // in a push path.
             Some(unsafe { JobRef::from_raw(p) })
@@ -452,6 +463,34 @@ mod tests {
         assert!(shard.try_pop().is_none(), "a held claim hands out nothing");
         shard.draining.store(false, Ordering::Release);
         assert!(shard.try_pop().is_some());
+    }
+
+    /// A registered lane is served within `n_lanes` pops even while
+    /// anonymous pushes keep lane 0 non-empty: the drain cursor rotates
+    /// past every lane it serves.
+    #[test]
+    fn busy_lane_zero_cannot_starve_a_registered_lane() {
+        let shard = IngressShard::new(2, 8);
+        let lane = shard.reserve_lane().expect("free lane");
+        assert_eq!(lane, 1);
+        shard.push_reserved(lane, job(u64::MAX)).ok().unwrap();
+        let mut served_at = None;
+        for round in 0..1_000u64 {
+            shard.try_push(job(round)).ok().unwrap();
+            let popped = shard.try_pop().expect("a job is queued");
+            if popped.header().id == u64::MAX {
+                served_at.get_or_insert(round);
+            }
+        }
+        let served_at = served_at.expect("the registered job drained");
+        assert!(
+            served_at < shard.n_lanes() as u64,
+            "registered job waited {served_at} pops"
+        );
+        let counters = shard.lane_counters();
+        assert_eq!(counters[1], (1, 1), "registered lane drained");
+        assert_eq!(counters[0].0 + counters[1].0, 1_001);
+        assert_eq!(counters[0].1 + counters[1].1, 1_000);
     }
 
     #[test]

@@ -79,9 +79,10 @@
 //! *cooperative* cancellation — a queued job is shed on the spot, a
 //! running one unwinds at its next checkpoint (loop chunk claim,
 //! `taskwait`, static-block stride), abandoning its remaining loop
-//! ranges into the `cancelled_iters` conservation counter. Expired
-//! deadlines shed queued jobs from the serve loop's sweep and cancel
-//! running ones the same cooperative way. Handles resolve with
+//! ranges into the `cancelled_iters` conservation counter. An expired
+//! deadline sheds a queued job at the worker's start gate or at the
+//! first handle observer to notice it (a joiner never parks past it),
+//! and cancels a running one the same cooperative way. Handles resolve with
 //! `Result<R, `[`JobError`]`>`; `completed + cancelled + shed ==
 //! submitted` holds exactly. See the README's "Serving semantics"
 //! section for the full contract.

@@ -180,7 +180,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: std::ops::Range<usize>,

@@ -13,7 +13,8 @@
 //!   `parallel_for` abandons its remaining ranges into
 //!   `nloop_cancelled_iters` with **exact** iteration conservation;
 //! * deadlines shed expired queued jobs (even across a paused
-//!   generation) and cooperatively cancel expired running jobs;
+//!   generation, or while every worker is busy) and cooperatively
+//!   cancel expired running jobs;
 //! * after quiescence, `submitted == completed + cancelled + shed`
 //!   holds exactly, globally and per QoS class, under random class
 //!   mixes, quota splits, and cancel points.
@@ -218,8 +219,8 @@ fn queued_deadline_expires_across_a_paused_generation() {
         )
         .unwrap();
     std::thread::sleep(Duration::from_millis(20));
-    // The deadline passed while paused (no sweep runs); resuming must
-    // shed it — at the sweep or the start-time gate, whichever first.
+    // The deadline passed while paused; the join below sheds it itself
+    // (or the start gate does, if a worker reaches it first).
     server.resume().unwrap();
     let err = h.join().unwrap_err();
     assert!(err.is_deadline_exceeded(), "{err:?}");
@@ -251,7 +252,7 @@ fn running_job_past_deadline_cancels_at_a_checkpoint() {
             SubmitOptions::new().deadline(Duration::from_millis(10)),
             |ctx| -> u32 {
                 // A cooperative body: polls the checkpoint until the
-                // serve loop's sweep fires the token.
+                // token's own deadline fires it.
                 loop {
                     ctx.check_cancel();
                     std::hint::spin_loop();
@@ -265,6 +266,62 @@ fn running_job_past_deadline_cancels_at_a_checkpoint() {
     // Started and then unwound ⇒ cancelled, not shed.
     assert_eq!(report.stats.cancelled, 1);
     assert_eq!(report.stats.shed, 0);
+}
+
+/// A queued job's deadline is enforced even when no worker is free to
+/// reach it: with every worker inside a gated job body, the joiner
+/// sheds the late job itself instead of waiting out its own timeout.
+#[test]
+fn queued_deadline_resolves_while_every_worker_is_busy() {
+    let server = two_zone_server(2, 0);
+    let gate = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicU64::new(0));
+    let blockers: Vec<_> = (0..2)
+        .map(|_| {
+            let (gate, started) = (gate.clone(), started.clone());
+            server
+                .submit(move |_| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                })
+                .unwrap()
+        })
+        .collect();
+    let give_up = std::time::Instant::now() + Duration::from_secs(20);
+    while started.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let both_started = started.load(Ordering::SeqCst) == 2;
+
+    let late = server
+        .submit_with(
+            SubmitOptions::new().deadline(Duration::from_millis(10)),
+            |_| 1u32,
+        )
+        .unwrap();
+    let t0 = std::time::Instant::now();
+    let outcome = late.join_timeout(Duration::from_secs(5));
+    let waited = t0.elapsed();
+    // Release the workers before any assertion, so a failure cannot
+    // hang the shutdown behind the gated jobs.
+    gate.store(true, Ordering::Release);
+    assert!(both_started, "both workers must be inside a gated job");
+    let err = outcome
+        .expect("the joiner must not wait out its timeout")
+        .unwrap_err();
+    assert!(err.is_deadline_exceeded(), "{err:?}");
+    assert!(
+        waited < Duration::from_secs(2),
+        "resolved after {waited:?}, well past the 10 ms deadline"
+    );
+    for h in blockers {
+        h.join().unwrap();
+    }
+    let report = server.shutdown();
+    assert_eq!(report.stats.completed, 2);
+    assert_eq!(report.stats.shed, 1);
 }
 
 #[test]

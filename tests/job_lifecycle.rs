@@ -4,8 +4,8 @@
 //! * Drop-once: canaries captured by job closures and returned as
 //!   results count their drops, for jobs that complete, panic, are
 //!   cancelled while queued, are shed by a deadline, are dropped
-//!   unjoined, are spilled across a pause, or are still queued when the
-//!   server shuts down.
+//!   unjoined (with or without a deadline), are spilled across a pause,
+//!   or are still queued when the server shuts down.
 //! * Lost wakes: `join`, `join_timeout`, `try_join` and `cancel` race
 //!   completions from several threads. Every wait is bounded, so a lost
 //!   wake-up fails the test instead of hanging it.
@@ -206,6 +206,45 @@ fn unjoined_jobs_drop_closure_and_result_once() {
     quiesce(&server);
     assert_eq!(body.load(Ordering::SeqCst), 256);
     assert_eq!(result.load(Ordering::SeqCst), 256);
+    server.shutdown();
+}
+
+/// A deadline keeps nothing alive: a job that completes well inside a
+/// roomy deadline, with its handle already dropped, releases its cell —
+/// and the result in it — as soon as it completes, not when the
+/// deadline passes.
+#[test]
+fn completed_jobs_under_a_deadline_release_their_result_at_completion() {
+    let server = server(2);
+    let (body, result) = (counter(), counter());
+    for _ in 0..64 {
+        let canary = Canary(body.clone());
+        let result = result.clone();
+        let h = server
+            .submit_with(
+                SubmitOptions::new().deadline(Duration::from_secs(600)),
+                move |_| {
+                    let _keep = &canary;
+                    Canary(result)
+                },
+            )
+            .unwrap();
+        drop(h);
+    }
+    quiesce(&server);
+    assert_eq!(server.stats().completed, 64);
+    // The worker releases its reference just after the accounting that
+    // `quiesce` watches; give that a moment, not the deadline's 600 s.
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while result.load(Ordering::SeqCst) < 64 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(body.load(Ordering::SeqCst), 64);
+    assert_eq!(
+        result.load(Ordering::SeqCst),
+        64,
+        "every unjoined result is dropped once its job completes"
+    );
     server.shutdown();
 }
 

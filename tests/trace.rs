@@ -176,6 +176,55 @@ fn trace_survives_pause_and_resume_with_reshaping() {
     server.shutdown();
 }
 
+/// Every missed deadline is recorded exactly once, by the worker that
+/// accounts the job: one `DeadlineMiss` (`b` = job id) plus the job's
+/// one `Shed` (missed while queued) or `Cancel` (missed while running).
+#[test]
+fn each_missed_deadline_emits_one_deadline_miss() {
+    let server = traced_server(2, TraceLevel::Lifecycle);
+    let late = xgomp::SubmitOptions::new().deadline(std::time::Duration::from_millis(5));
+
+    // Shed while queued: the deadline passes on a paused server.
+    server.pause().unwrap();
+    let queued = server.submit_with(late, |_| 0u32).unwrap();
+    let shed_id = queued.job_id();
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    server.resume().unwrap();
+    assert!(queued.join().unwrap_err().is_deadline_exceeded());
+
+    // Cancelled while running: the body spins on its checkpoint.
+    let running = server
+        .submit_with(late, |ctx| -> u32 {
+            loop {
+                ctx.check_cancel();
+                std::hint::spin_loop();
+            }
+        })
+        .unwrap();
+    let cancel_id = running.job_id();
+    assert!(running.join().unwrap_err().is_deadline_exceeded());
+
+    // The accounting (and its events) trails the handles' resolution.
+    while server.stats().in_flight != 0 {
+        std::thread::yield_now();
+    }
+    let snap = server.trace_snapshot();
+    let count = |kind: EventKind, id: u64| {
+        snap.events
+            .iter()
+            .filter(|e| e.kind == kind && e.b == id)
+            .count()
+    };
+    assert_eq!(snap.count(EventKind::DeadlineMiss), 2);
+    assert_eq!(count(EventKind::DeadlineMiss, shed_id), 1);
+    assert_eq!(count(EventKind::Shed, shed_id), 1);
+    assert_eq!(count(EventKind::Cancel, shed_id), 0);
+    assert_eq!(count(EventKind::DeadlineMiss, cancel_id), 1);
+    assert_eq!(count(EventKind::Cancel, cancel_id), 1);
+    assert_eq!(count(EventKind::Shed, cancel_id), 0);
+    server.shutdown();
+}
+
 #[test]
 fn full_trace_captures_loop_and_runtime_events() {
     let server = traced_server(4, TraceLevel::Full);
